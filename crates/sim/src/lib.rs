@@ -25,6 +25,8 @@
 pub mod attrib;
 pub mod caches;
 pub mod counters;
+mod decode;
+mod engine;
 pub mod machine;
 pub mod predict;
 pub mod rse;

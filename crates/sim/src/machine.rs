@@ -1,17 +1,20 @@
 //! The in-order EPIC performance simulator.
 //!
 //! Executes [`epic_mach::MachProgram`] code functionally *and* charges
-//! cycles to the paper's Fig. 5 categories. The core follows Itanium 2
-//! semantics: issue groups execute atomically (all reads see pre-group
-//! state, with the architected exception that a branch may consume a
-//! compare result from its own group), a taken branch squashes the rest
-//! of its group, predicated-off operations retire without effect, and
-//! speculative loads defer faults to NaT. Timing is modeled by a
-//! register scoreboard (loads are scheduled for the L1 hit; misses stall
-//! consumers), an I-cache-fed front end decoupled by a 48-op buffer, a
-//! pluggable branch predictor ([`crate::predict`], gshare by default), a
-//! DTLB with hardware walks, the register stack engine, and the
-//! general/sentinel speculation recovery models of paper Fig. 9.
+//! cycles to the paper's Fig. 5 categories. Values come from the shared
+//! value engine ([`crate::engine`]) running the predecoded issue-group
+//! tables ([`crate::decode`]), which implements Itanium 2 semantics:
+//! issue groups execute atomically (all reads see pre-group state, with
+//! the architected exception that a branch may consume a compare result
+//! from its own group), a taken branch squashes the rest of its group,
+//! predicated-off operations retire without effect, and speculative
+//! loads defer faults to NaT. This module is the engine's detailed
+//! timing instantiation ([`Detail`]): a register scoreboard (loads are
+//! scheduled for the L1 hit; misses stall consumers), an I-cache-fed
+//! front end decoupled by a 48-op buffer, a pluggable branch predictor
+//! ([`crate::predict`], gshare by default), a DTLB with hardware walks,
+//! the register stack engine, and the general/sentinel speculation
+//! recovery models of paper Fig. 9.
 //!
 //! The dispatch loop contains *no accounting code*: every cycle cost and
 //! counter bump is reported as a typed [`SimEvent`] to the
@@ -19,16 +22,14 @@
 //! category, maintains the running clock, and builds the per-function
 //! drill-down matrix.
 
-use crate::attrib::{Attribution, FuncMatrix, KernelReason, Port, Retire, SimEvent, StallProducer};
+use crate::attrib::{Attribution, EventSink, FuncMatrix, Port, SimEvent, StallProducer};
 use crate::caches::Hierarchy;
 use crate::counters::{Counters, CycleAccounting, CATEGORIES};
+use crate::decode::{build_tables, GroupTable};
+use crate::engine::{Engine, FState, Flow, Frame, Timing};
 use crate::predict::{AnyPredictor, BranchPredictor, BranchRecord, PredictorSpec};
-use crate::rse::Rse;
-use crate::tlb::Dtlb;
 use epic_ir::interp::checksum;
-use epic_ir::mem::{func_from_addr, Memory, STACK_TOP};
-use epic_ir::{Opcode, Operand, Value, Vreg};
-use epic_mach::{MachProgram, MachineConfig, Slot};
+use epic_mach::{MachFunc, MachProgram, MachineConfig};
 use std::collections::VecDeque;
 
 /// Speculation recovery model (paper Fig. 9 / Sec. 4.3).
@@ -216,31 +217,6 @@ impl SimResult {
     }
 }
 
-#[derive(Clone)]
-pub(crate) struct Frame {
-    pub(crate) regs: Vec<Value>,
-    pub(crate) ready: Vec<u64>,
-    pub(crate) producer: Vec<StallProducer>,
-    pub(crate) sp: u64,
-    pub(crate) ret_pos: (usize, usize),
-    pub(crate) ret_dst: Option<Vreg>,
-}
-
-impl Frame {
-    pub(crate) fn new(nregs: usize, sp: u64) -> Frame {
-        Frame {
-            regs: vec![Value::default(); nregs],
-            ready: vec![0; nregs],
-            producer: vec![StallProducer::Other; nregs],
-            sp,
-            ret_pos: (usize::MAX, usize::MAX),
-            ret_dst: None,
-        }
-    }
-}
-
-pub(crate) const NREGS: usize = (epic_mach::GR_WINDOW + epic_mach::PR_COUNT) as usize;
-
 /// Run a compiled program.
 ///
 /// # Errors
@@ -263,22 +239,52 @@ pub fn run_with_sinks(
     mp: &MachProgram,
     args: &[i64],
     opts: &SimOptions,
-    sinks: Vec<Box<dyn crate::attrib::EventSink>>,
+    sinks: Vec<Box<dyn EventSink>>,
 ) -> Result<SimResult, SimTrap> {
     match opts.sample {
-        crate::sample::SamplePolicy::Exact => {
-            let mut sim = Sim::new(mp, opts);
-            for sink in sinks {
-                sim.attrib.add_sink(sink);
-            }
-            sim.run(args)
-        }
+        crate::sample::SamplePolicy::Exact => run_exact(mp, args, opts, sinks),
         crate::sample::SamplePolicy::Sampled {
             interval_len,
             max_clusters,
             warmup,
         } => crate::sample::run_sampled(mp, args, opts, interval_len, max_clusters, warmup, sinks),
     }
+}
+
+/// Simulate a whole run in detail.
+pub(crate) fn run_exact(
+    mp: &MachProgram,
+    args: &[i64],
+    opts: &SimOptions,
+    sinks: Vec<Box<dyn EventSink>>,
+) -> Result<SimResult, SimTrap> {
+    let tabs = build_tables(mp);
+    let (st, (regs, stall)) = FState::start(mp, args, opts, true);
+    let mut sim = Sim::new(mp, &tabs, opts, st, true);
+    for sink in sinks {
+        sim.t.attrib.add_sink(sink);
+    }
+    // start the RSE with main's window
+    let (func, bundle) = sim.eng.st.pos;
+    sim.t.attrib.at(func, bundle);
+    sim.t.attrib.emit(SimEvent::RseTraffic { regs, stall });
+    let Exec::Done(ret) = sim.exec(u64::MAX)? else {
+        unreachable!("unbounded exec cannot pause")
+    };
+    let output = sim.eng.out.take().unwrap_or_default();
+    let cycles = sim.t.attrib.total();
+    let (acct, counters, func_matrix, trace) = sim.t.attrib.finish();
+    Ok(SimResult {
+        checksum: checksum(&output),
+        output,
+        ret,
+        cycles,
+        acct,
+        counters,
+        func_matrix,
+        trace,
+        sample: None,
+    })
 }
 
 /// How a bounded [`Sim::exec`] call ended.
@@ -290,60 +296,49 @@ pub(crate) enum Exec {
     Paused,
 }
 
+/// The detailed simulator: the value engine instantiated with the
+/// [`Detail`] timing model.
 pub(crate) struct Sim<'a> {
-    pub(crate) mp: &'a MachProgram,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) spec_model: SpecModel,
-    pub(crate) fuel: u64,
-    pub(crate) mem: Memory,
+    pub(crate) eng: Engine<'a>,
+    pub(crate) t: Detail,
+    fuel: u64,
+}
+
+/// The detailed model's timing state — the [`Timing`] instantiation
+/// that charges every cycle.
+pub(crate) struct Detail {
+    cfg: MachineConfig,
     pub(crate) hier: Hierarchy,
     pub(crate) pred: AnyPredictor,
-    pub(crate) dtlb: Dtlb,
-    pub(crate) rse: Rse,
     pub(crate) attrib: Attribution,
-    pub(crate) output: Vec<u64>,
+    /// Ops held by the decoupling buffer.
     pub(crate) ib_ops: f64,
+    /// Last fetched I-cache line (`u64::MAX` restarts the fetch).
     pub(crate) last_line: u64,
+    /// Store-forwarding window: (8-byte word, issue cycle).
     pub(crate) recent_stores: VecDeque<(u64, u64)>,
-    /// ALAT: (frame depth, value register) -> watched address range.
-    pub(crate) alat: VecDeque<((usize, u32), u64, u64)>,
-    pub(crate) depth: usize,
-    /// Current frame, frame stack, and next issue-group position —
-    /// fields (not `run` locals) so execution can pause and resume at
-    /// group boundaries for sampled simulation.
-    pub(crate) frame: Frame,
-    pub(crate) stack: Vec<Frame>,
-    pub(crate) pos: (usize, usize),
-    /// Retired-slot count (real ops incl. squashed, excl. nops), the
-    /// interval clock for `crate::sample`.
-    pub(crate) ops: u64,
 }
 
 impl<'a> Sim<'a> {
-    pub(crate) fn new(mp: &'a MachProgram, opts: &SimOptions) -> Sim<'a> {
-        let mut mem = Memory::new();
-        mem.init_globals(&mp.ir);
+    pub(crate) fn new(
+        mp: &'a MachProgram,
+        tabs: &'a [GroupTable],
+        opts: &SimOptions,
+        st: FState,
+        collect_out: bool,
+    ) -> Sim<'a> {
         Sim {
-            mp,
-            cfg: opts.config,
-            spec_model: opts.spec_model,
+            eng: Engine::new(mp, tabs, opts, st, collect_out),
+            t: Detail {
+                cfg: opts.config,
+                hier: Hierarchy::new(&opts.config),
+                pred: AnyPredictor::from_spec(opts.predictor),
+                attrib: Attribution::new(mp.funcs.len()).with_trace(opts.trace_capacity),
+                ib_ops: 0.0,
+                last_line: u64::MAX,
+                recent_stores: VecDeque::new(),
+            },
             fuel: opts.fuel_cycles,
-            mem,
-            hier: Hierarchy::new(&opts.config),
-            pred: AnyPredictor::from_spec(opts.predictor),
-            dtlb: Dtlb::new(opts.config.dtlb_entries),
-            rse: Rse::new(opts.config.rse_capacity, opts.config.rse_cycle_per_reg),
-            attrib: Attribution::new(mp.funcs.len()).with_trace(opts.trace_capacity),
-            output: Vec::new(),
-            ib_ops: 0.0,
-            last_line: u64::MAX,
-            recent_stores: VecDeque::new(),
-            alat: VecDeque::new(),
-            depth: 0,
-            frame: Frame::new(0, 0),
-            stack: Vec::new(),
-            pos: (0, 0),
-            ops: 0,
         }
     }
 
@@ -352,630 +347,185 @@ impl<'a> Sim<'a> {
     fn trap_at(&self, kind: TrapKind, pos: (usize, usize)) -> SimTrap {
         SimTrap {
             kind,
-            func: self.mp.funcs[pos.0].name.clone(),
+            func: self.eng.mp.funcs[pos.0].name.clone(),
             bundle: pos.1,
-            cycle: self.attrib.total(),
+            cycle: self.t.attrib.total(),
         }
     }
 
-    fn run(mut self, args: &[i64]) -> Result<SimResult, SimTrap> {
-        self.start(args);
-        match self.exec(u64::MAX)? {
-            Exec::Done(ret) => Ok(self.into_result(ret)),
-            Exec::Paused => unreachable!("unbounded exec cannot pause"),
-        }
-    }
-
-    /// Set up `main`'s frame, arguments, and RSE window. Must be called
-    /// exactly once before [`Sim::exec`].
-    pub(crate) fn start(&mut self, args: &[i64]) {
-        let mp = self.mp;
-        let entry = mp.ir.entry.index();
-        let ef = &mp.funcs[entry];
-        let mut frame = Frame::new(NREGS, STACK_TOP - ((ef.frame_size + 15) & !15));
-        for (i, &r) in ef.param_regs.iter().enumerate() {
-            frame.regs[r as usize] = Value::new(args.get(i).copied().unwrap_or(0) as u64);
-        }
-        self.frame = frame;
-        self.pos = (entry, ef.entry);
-        // start the RSE with main's window
-        self.attrib.at(entry, ef.entry);
-        let (regs, stall) = self.rse.call(ef.n_gr);
-        self.attrib.emit(SimEvent::RseTraffic { regs, stall });
-    }
-
-    /// Package a finished run. `ret` is `main`'s return value.
-    pub(crate) fn into_result(self, ret: u64) -> SimResult {
-        let cycles = self.attrib.total();
-        let (acct, counters, func_matrix, trace) = self.attrib.finish();
-        SimResult {
-            checksum: checksum(&self.output),
-            output: self.output,
-            ret,
-            cycles,
-            acct,
-            counters,
-            func_matrix,
-            trace,
-            sample: None,
-        }
-    }
-
-    /// Dispatch issue groups until the program returns or `self.ops`
+    /// Dispatch issue groups until the program returns or the op count
     /// reaches `op_budget` (checked at group boundaries, so a bundle —
     /// indeed a whole issue group — is never split). `u64::MAX` runs to
     /// completion.
     pub(crate) fn exec(&mut self, op_budget: u64) -> Result<Exec, SimTrap> {
-        // reusable per-group write buffer (avoids a heap allocation per
-        // simulated cycle)
-        let mut writes: Vec<(Vreg, Value, u64, StallProducer)> = Vec::with_capacity(16);
-        let mp = self.mp;
-
+        let mp = self.eng.mp;
+        let tabs = self.eng.tabs;
         loop {
-            if self.ops >= op_budget {
+            if self.eng.st.ops >= op_budget {
                 return Ok(Exec::Paused);
             }
-            let pos = self.pos;
-            if self.attrib.total() > self.fuel {
+            let pos = self.eng.st.pos;
+            if self.t.attrib.total() > self.fuel {
                 return Err(self.trap_at(TrapKind::OutOfFuel, pos));
             }
-            let (func_i, first_bundle) = pos;
+            let (func_i, first) = pos;
             // attribute everything this group does — fetch, stall, issue,
             // recovery — to the function executing it
-            self.attrib.at(func_i, first_bundle);
-            let f = &mp.funcs[func_i];
-            if first_bundle >= f.bundles.len() {
-                return Err(self.trap_at(
-                    TrapKind::Malformed(format!("fell off code at bundle {first_bundle}")),
-                    pos,
-                ));
-            }
-            // --- collect the issue group ---
-            let mut end_bundle = first_bundle;
-            while !f.bundles[end_bundle].stop {
-                end_bundle += 1;
-                if end_bundle >= f.bundles.len() {
-                    return Err(self.trap_at(
-                        TrapKind::Malformed("issue group runs off the code".into()),
-                        pos,
-                    ));
-                }
-            }
-            let group_bundles = &f.bundles[first_bundle..=end_bundle];
-            let group_size: usize = group_bundles.iter().map(|b| b.op_count()).sum();
-            self.ops += group_size as u64;
-
-            // --- front end: fetch the group's cache lines ---
-            for k in 0..group_bundles.len() {
-                let addr = f.bundle_addr(first_bundle + k);
-                let line = addr / self.cfg.l1i.line;
-                if line != self.last_line {
-                    self.last_line = line;
-                    let (lat, lvl) = self.hier.fetch_inst(addr);
-                    self.attrib.emit(SimEvent::CacheAccess {
-                        port: Port::Inst,
-                        level: lvl,
-                    });
-                    let extra = lat.saturating_sub(self.cfg.l1i.latency);
-                    if extra > 0 {
-                        // the decoupling buffer hides what it has buffered
-                        let per_cycle = group_size.max(1) as f64;
-                        let hidden = (self.ib_ops / per_cycle).min(extra as f64);
-                        self.ib_ops -= hidden * per_cycle;
-                        let bubble = extra - hidden as u64;
-                        self.attrib.emit(SimEvent::FetchBubble { cycles: bubble });
-                    }
-                }
-            }
-            // refill the buffer when streaming
-            self.ib_ops =
-                (self.ib_ops + 6.0 - group_size as f64).clamp(0.0, self.cfg.ib_ops as f64);
-
-            // --- scoreboard: group issues when all sources are ready ---
-            let now0 = self.attrib.total();
-            let mut need = now0;
-            let mut blame = StallProducer::Other;
-            for b in group_bundles {
-                for s in &b.slots {
-                    let Slot::Op(op) = s else { continue };
-                    for u in op.uses() {
-                        let mut t = self.frame.ready[u.index()];
-                        if op.is_branch() && op.guard == Some(u) {
-                            t = t.saturating_sub(1); // predicate->branch forwarding
-                        }
-                        if t > need {
-                            need = t;
-                            blame = self.frame.producer[u.index()];
-                        }
-                    }
-                }
-            }
-            if need > now0 {
-                self.attrib.emit(SimEvent::ScoreboardStall {
-                    producer: blame,
-                    cycles: need - now0,
-                });
-            }
-            let issue = self.attrib.total();
-
-            // --- execute (two-phase: reads see pre-group state) ---
-            writes.clear();
-            let mut next_pos = (func_i, end_bundle + 1);
-            let mut transfer = false;
-            let mut call_push: Option<Frame> = None;
-            let mut program_done: Option<u64> = None;
-            'slots: for (k, b) in group_bundles.iter().enumerate() {
-                for s in &b.slots {
-                    let op = match s {
-                        Slot::Op(op) => op,
-                        Slot::Nop => {
-                            self.attrib.emit(SimEvent::Retired(Retire::Nop));
-                            continue;
-                        }
-                        Slot::LContinuation => continue,
+            self.t.attrib.at(func_i, first);
+            let tab = &tabs[func_i];
+            let e = match tab.g.get(first) {
+                Some(&e) if e.off != u32::MAX => e,
+                e => {
+                    let why = match e {
+                        None => format!("fell off code at bundle {first}"),
+                        Some(e) if e.end == u32::MAX => "issue group runs off the code".into(),
+                        // control only ever lands on predecoded starts
+                        Some(_) => "entered mid-group".into(),
                     };
-                    // guard evaluation
-                    let guard_val = match op.guard {
-                        None => true,
-                        Some(g) => {
-                            let v = if op.is_branch() {
-                                // may consume this group's compare
-                                writes
-                                    .iter()
-                                    .rev()
-                                    .find(|(r, ..)| *r == g)
-                                    .map(|(_, v, ..)| *v)
-                                    .unwrap_or(self.frame.regs[g.index()])
-                            } else {
-                                self.frame.regs[g.index()]
-                            };
-                            v.is_true()
-                        }
-                    };
-                    if op.is_branch() && op.guard.is_some() {
-                        // conditional branch: predict on both outcomes
-                        let addr = f.bundle_addr(first_bundle + k);
-                        let correct = self.pred.observe(addr, guard_val);
-                        self.attrib.emit(SimEvent::BranchPredicted {
-                            correct,
-                            flush_cycles: self.cfg.mispredict_penalty,
-                        });
-                        if self.attrib.wants_branches() {
-                            self.attrib.branch(BranchRecord::Cond {
-                                addr,
-                                taken: guard_val,
-                            });
-                        }
-                    }
-                    if !guard_val {
-                        self.attrib.emit(SimEvent::Retired(Retire::Squashed));
-                        continue;
-                    }
-                    self.attrib.emit(SimEvent::Retired(Retire::Useful));
-                    macro_rules! ev {
-                        ($o:expr) => {
-                            eval_operand(&self.frame, mp, $o)
-                        };
-                    }
-                    match op.opcode {
-                        Opcode::Add
-                        | Opcode::Sub
-                        | Opcode::Mul
-                        | Opcode::And
-                        | Opcode::Or
-                        | Opcode::Xor
-                        | Opcode::Shl
-                        | Opcode::Shr
-                        | Opcode::Sar => {
-                            let a = ev!(&op.srcs[0]);
-                            let c = ev!(&op.srcs[1]);
-                            let v = Value::lift2(a, c, |x, y| alu(op.opcode, x, y));
-                            let kind = if matches!(op.opcode, Opcode::Mul) {
-                                StallProducer::Float
-                            } else {
-                                StallProducer::Other
-                            };
-                            let lat = epic_mach::units::latency(op) as u64;
-                            writes.push((op.dsts[0], v, issue + lat, kind));
-                        }
-                        Opcode::Div | Opcode::Rem => {
-                            let a = ev!(&op.srcs[0]);
-                            let c = ev!(&op.srcs[1]);
-                            let v = if a.nat || c.nat {
-                                Value::NAT
-                            } else if c.bits == 0 {
-                                return Err(self.trap_at(TrapKind::DivByZero, pos));
-                            } else {
-                                let (x, y) = (a.bits as i64, c.bits as i64);
-                                Value::new(if matches!(op.opcode, Opcode::Div) {
-                                    x.wrapping_div(y) as u64
-                                } else {
-                                    x.wrapping_rem(y) as u64
-                                })
-                            };
-                            let lat = epic_mach::units::latency(op) as u64;
-                            writes.push((op.dsts[0], v, issue + lat, StallProducer::Float));
-                        }
-                        Opcode::Cmp(kind) => {
-                            let a = ev!(&op.srcs[0]);
-                            let c = ev!(&op.srcs[1]);
-                            let (t, fv) = if a.nat || c.nat {
-                                (0u64, 0u64)
-                            } else {
-                                let r = kind.eval(a.bits, c.bits);
-                                (r as u64, !r as u64)
-                            };
-                            writes.push((
-                                op.dsts[0],
-                                Value::new(t),
-                                issue + 1,
-                                StallProducer::Other,
-                            ));
-                            if let Some(d1) = op.dsts.get(1) {
-                                writes.push((*d1, Value::new(fv), issue + 1, StallProducer::Other));
-                            }
-                        }
-                        Opcode::Mov => {
-                            let v = ev!(&op.srcs[0]);
-                            writes.push((op.dsts[0], v, issue + 1, StallProducer::Other));
-                        }
-                        Opcode::Ld(size) => {
-                            let addr = ev!(&op.srcs[0]);
-                            let (v, ready) = self
-                                .do_load(addr, size.bytes(), op.spec, issue)
-                                .map_err(|k| self.trap_at(k, pos))?;
-                            if op.adv && !addr.nat && !v.nat {
-                                self.attrib.emit(SimEvent::AdvLoad);
-                                self.alat_insert(op.dsts[0].0, addr.bits, size.bytes());
-                            }
-                            writes.push((op.dsts[0], v, ready, StallProducer::Load));
-                        }
-                        Opcode::ChkA(size) => {
-                            let v = ev!(&op.srcs[0]);
-                            let key = match op.srcs[0] {
-                                Operand::Reg(r) => (self.depth, r.0),
-                                _ => unreachable!("verified chk.a shape"),
-                            };
-                            let hit = self.alat.iter().any(|(k, ..)| *k == key) && !v.nat;
-                            if hit {
-                                writes.push((op.dsts[0], v, issue + 1, StallProducer::Other));
-                            } else {
-                                self.attrib.emit(SimEvent::AlatMiss {
-                                    cycles: self.cfg.alat_recovery_cycles,
-                                });
-                                let (rv, ready) = self
-                                    .do_load(ev!(&op.srcs[1]), size.bytes(), false, issue)
-                                    .map_err(|k| self.trap_at(k, pos))?;
-                                writes.push((op.dsts[0], rv, ready, StallProducer::Load));
-                            }
-                        }
-                        Opcode::Chk(size) => {
-                            let v = ev!(&op.srcs[0]);
-                            if v.nat {
-                                self.attrib.emit(SimEvent::ChkRecovery {
-                                    cycles: self.cfg.chk_recovery_cycles,
-                                });
-                                let (rv, ready) = self
-                                    .do_load(ev!(&op.srcs[1]), size.bytes(), false, issue)
-                                    .map_err(|k| self.trap_at(k, pos))?;
-                                writes.push((op.dsts[0], rv, ready, StallProducer::Load));
-                            } else {
-                                writes.push((op.dsts[0], v, issue + 1, StallProducer::Other));
-                            }
-                        }
-                        Opcode::St(size) => {
-                            let addr = ev!(&op.srcs[0]);
-                            let val = ev!(&op.srcs[1]);
-                            if addr.nat || val.nat {
-                                return Err(self.trap_at(TrapKind::NatConsumed("store"), pos));
-                            }
-                            if !self.dtlb.access(addr.bits) {
-                                self.attrib.emit(SimEvent::DtlbWalk {
-                                    cycles: self.cfg.tlb_walk_cycles,
-                                });
-                            }
-                            self.mem
-                                .write(addr.bits, size.bytes(), val.bits)
-                                .map_err(|e| self.trap_at(TrapKind::MemFault(e.addr), pos))?;
-                            let (_, lvl) = self.hier.access_data(addr.bits);
-                            self.attrib.emit(SimEvent::CacheAccess {
-                                port: Port::Data,
-                                level: lvl,
-                            });
-                            if self.recent_stores.len() == self.cfg.store_buffer {
-                                self.recent_stores.pop_front();
-                            }
-                            self.recent_stores.push_back((addr.bits >> 3, issue));
-                            // stores invalidate overlapping ALAT entries
-                            let (sa, sz) = (addr.bits, size.bytes());
-                            self.alat
-                                .retain(|&(_, ea, es)| sa + sz <= ea || ea + es <= sa);
-                        }
-                        Opcode::Br => {
-                            self.attrib.emit(SimEvent::BranchExecuted);
-                            let target = op.srcs[0].label().expect("branch label");
-                            let bi = f.block_entry[target.index()].ok_or_else(|| {
-                                self.trap_at(
-                                    TrapKind::Malformed(format!("no code for {target}")),
-                                    pos,
-                                )
-                            })?;
-                            next_pos = (func_i, bi);
-                            transfer = true;
-                            break 'slots;
-                        }
-                        Opcode::Call => {
-                            let callee = match op.srcs[0] {
-                                Operand::FuncAddr(t) => t.index(),
-                                ref o => {
-                                    let v = ev!(o);
-                                    if v.nat {
-                                        return Err(
-                                            self.trap_at(TrapKind::NatConsumed("call"), pos)
-                                        );
-                                    }
-                                    func_from_addr(v.bits)
-                                        .ok_or_else(|| {
-                                            self.trap_at(TrapKind::BadCall(v.bits), pos)
-                                        })?
-                                        .index()
-                                }
-                            };
-                            self.attrib.emit(SimEvent::CallExecuted);
-                            self.attrib.emit(SimEvent::BranchExecuted);
-                            let cf = &mp.funcs[callee];
-                            let (regs, stall) = self.rse.call(cf.n_gr);
-                            self.attrib.emit(SimEvent::RseTraffic { regs, stall });
-                            let ret_addr = f.bundle_addr(end_bundle + 1);
-                            self.pred.push_return(ret_addr);
-                            if self.attrib.wants_branches() {
-                                self.attrib.branch(BranchRecord::Call { ret_addr });
-                            }
-                            let sp = self.frame.sp - ((cf.frame_size + 15) & !15);
-                            if sp < STACK_TOP - epic_ir::mem::STACK_MAX {
-                                return Err(self.trap_at(TrapKind::MemFault(sp), pos));
-                            }
-                            let mut nf = Frame::new(NREGS, sp);
-                            for (ai, &pr) in cf.param_regs.iter().enumerate() {
-                                if let Some(a) = op.srcs.get(1 + ai) {
-                                    nf.regs[pr as usize] = ev!(a);
-                                    nf.ready[pr as usize] = issue + 1;
-                                }
-                            }
-                            nf.ret_pos = (func_i, end_bundle + 1);
-                            nf.ret_dst = op.dsts.first().copied();
-                            self.depth += 1;
-                            next_pos = (callee, cf.entry);
-                            transfer = true;
-                            call_push = Some(nf);
-                            break 'slots;
-                        }
-                        Opcode::Ret => {
-                            self.attrib.emit(SimEvent::BranchExecuted);
-                            let val = op.srcs.first().map(|o| ev!(o)).unwrap_or(Value::new(0));
-                            let (regs, stall) = self.rse.ret();
-                            self.attrib.emit(SimEvent::RseTraffic { regs, stall });
-                            match self.stack.pop() {
-                                Some(mut caller) => {
-                                    // the return-address stack predicts
-                                    // returns; underflow mispredicts
-                                    let expected = mp.funcs[self.frame.ret_pos.0]
-                                        .bundle_addr(self.frame.ret_pos.1);
-                                    if !self.pred.pop_return(expected) {
-                                        self.attrib.emit(SimEvent::ReturnMispredicted {
-                                            flush_cycles: self.cfg.mispredict_penalty,
-                                        });
-                                    }
-                                    if self.attrib.wants_branches() {
-                                        self.attrib.branch(BranchRecord::Ret { actual: expected });
-                                    }
-                                    if let Some(d) = self.frame.ret_dst {
-                                        caller.regs[d.index()] = val;
-                                        caller.ready[d.index()] = issue + 1;
-                                        caller.producer[d.index()] = StallProducer::Other;
-                                    }
-                                    next_pos = self.frame.ret_pos;
-                                    self.frame = caller;
-                                    transfer = true;
-                                    let d = self.depth;
-                                    self.alat.retain(|&((fd, _), ..)| fd < d);
-                                    self.depth -= 1;
-                                    break 'slots;
-                                }
-                                None => {
-                                    if val.nat {
-                                        return Err(
-                                            self.trap_at(TrapKind::NatConsumed("main return"), pos)
-                                        );
-                                    }
-                                    program_done = Some(val.bits);
-                                    break 'slots;
-                                }
-                            }
-                        }
-                        Opcode::Out => {
-                            let v = ev!(&op.srcs[0]);
-                            if v.nat {
-                                return Err(self.trap_at(TrapKind::NatConsumed("out"), pos));
-                            }
-                            self.output.push(v.bits);
-                            self.attrib.emit(SimEvent::Kernel {
-                                reason: KernelReason::Syscall,
-                                cycles: self.cfg.syscall_kernel_cycles,
-                            });
-                        }
-                        Opcode::Alloc => {
-                            let n = ev!(&op.srcs[0]);
-                            if n.nat {
-                                return Err(self.trap_at(TrapKind::NatConsumed("alloc"), pos));
-                            }
-                            let p = self.mem.alloc(n.bits);
-                            self.attrib.emit(SimEvent::Kernel {
-                                reason: KernelReason::Alloc,
-                                cycles: self.cfg.syscall_kernel_cycles / 2,
-                            });
-                            writes.push((
-                                op.dsts[0],
-                                Value::new(p),
-                                issue + 2,
-                                StallProducer::Other,
-                            ));
-                        }
-                        Opcode::Nop => {
-                            self.attrib.emit(SimEvent::Retired(Retire::Nop));
-                        }
-                    }
+                    return Err(self.trap_at(TrapKind::Malformed(why), pos));
                 }
-            }
-            // --- commit ---
-            if call_push.is_none() {
-                for (r, v, ready, kind) in writes.drain(..) {
-                    self.frame.regs[r.index()] = v;
-                    self.frame.ready[r.index()] = ready;
-                    self.frame.producer[r.index()] = kind;
-                }
-            }
-            // (on a call, writes belong to the *caller* frame; but a call
-            // is alone in its group, so only argument evaluation happened)
-            if let Some(nf) = call_push {
-                self.stack.push(std::mem::replace(&mut self.frame, nf));
-            }
-            self.attrib.emit(SimEvent::Issue);
-            if let Some(ret) = program_done {
-                return Ok(Exec::Done(ret));
-            }
-            if !transfer {
-                // fall through to the next group of the same block
-                self.pos = (func_i, end_bundle + 1);
-            } else {
-                self.pos = next_pos;
-                // control transfers restart the fetch line
-                self.last_line = u64::MAX;
-            }
-        }
-    }
-
-    /// Install an ALAT entry (FIFO replacement at capacity).
-    fn alat_insert(&mut self, reg: u32, addr: u64, size: u64) {
-        let key = (self.depth, reg);
-        self.alat.retain(|(k, ..)| *k != key);
-        if self.alat.len() >= self.cfg.alat_entries {
-            self.alat.pop_front();
-        }
-        self.alat.push_back((key, addr, size));
-    }
-
-    /// Execute a load's memory access, returning `(value, ready_time)`.
-    /// Traps come back as a bare [`TrapKind`]; the caller attaches the
-    /// machine position via [`Sim::trap_at`].
-    fn do_load(
-        &mut self,
-        addr: Value,
-        bytes: u64,
-        spec: bool,
-        issue: u64,
-    ) -> Result<(Value, u64), TrapKind> {
-        if addr.nat {
-            return if spec {
-                self.attrib.emit(SimEvent::SpecLoad);
-                self.attrib.emit(SimEvent::DeferredLoad);
-                Ok((Value::NAT, issue + 1))
-            } else {
-                Err(TrapKind::NatConsumed("load"))
             };
-        }
-        let a = addr.bits;
-        if spec {
-            self.attrib.emit(SimEvent::SpecLoad);
-        }
-        if !self.mem.is_valid(a) {
-            if !spec {
-                return Err(TrapKind::MemFault(a));
-            }
-            self.attrib.emit(SimEvent::DeferredLoad);
-            if Memory::is_null_page(a) {
-                // architected NaT page: cheap in both models
-                self.attrib.emit(SimEvent::Kernel {
-                    reason: KernelReason::NatPage,
-                    cycles: self.cfg.nat_page_cycles,
-                });
-                return Ok((Value::NAT, issue + 1));
-            }
-            match self.spec_model {
-                SpecModel::General => {
-                    // wild load: traverse the page-mapping hierarchy in the
-                    // kernel; results are not cached (paper Sec. 4.3)
-                    self.attrib.emit(SimEvent::Kernel {
-                        reason: KernelReason::WildLoad,
-                        cycles: self.cfg.wild_load_kernel_cycles,
-                    });
-                    Ok((Value::NAT, issue + 1))
+            let end = e.end as usize;
+            self.eng.st.ops += e.nops as u64;
+            self.t.fetch(&mp.funcs[func_i], first, end, e.nops);
+            let srcs = &tab.srcs[e.src as usize..][..e.nsrc as usize];
+            let issue = self.t.scoreboard(&self.eng.st.frame, srcs);
+            let t = &mut self.t;
+            let flow = if e.direct {
+                self.eng
+                    .exec_group::<true, _>(t, func_i, first, end, e, issue)
+            } else {
+                self.eng
+                    .exec_group::<false, _>(t, func_i, first, end, e, issue)
+            };
+            let flow = flow.map_err(|k| self.trap_at(k, pos))?;
+            self.t.attrib.emit(SimEvent::Issue);
+            match flow {
+                Flow::Fall => self.eng.st.pos = (func_i, end + 1),
+                Flow::Jump(to) => {
+                    self.eng.st.pos = to;
+                    // control transfers restart the fetch line
+                    self.t.last_line = u64::MAX;
                 }
-                SpecModel::Sentinel => {
-                    // early deferral: only the DTLB was probed
-                    Ok((Value::NAT, issue + 1))
+                Flow::Done(ret) => return Ok(Exec::Done(ret)),
+            }
+        }
+    }
+}
+
+impl Detail {
+    /// Front end: fetch the group's cache lines. The decoupling buffer
+    /// hides as much of a miss as it has buffered.
+    fn fetch(&mut self, f: &MachFunc, first: usize, end: usize, group_size: u32) {
+        for k in first..=end {
+            let addr = f.bundle_addr(k);
+            let line = addr / self.cfg.l1i.line;
+            if line != self.last_line {
+                self.last_line = line;
+                let (lat, lvl) = self.hier.fetch_inst(addr);
+                self.attrib.emit(SimEvent::CacheAccess {
+                    port: Port::Inst,
+                    level: lvl,
+                });
+                let extra = lat.saturating_sub(self.cfg.l1i.latency);
+                if extra > 0 {
+                    let per_cycle = group_size.max(1) as f64;
+                    let hidden = (self.ib_ops / per_cycle).min(extra as f64);
+                    self.ib_ops -= hidden * per_cycle;
+                    let bubble = extra - hidden as u64;
+                    self.attrib.emit(SimEvent::FetchBubble { cycles: bubble });
                 }
             }
-        } else {
-            if self.spec_model == SpecModel::Sentinel && spec && !self.dtlb.probe(a) {
-                // sentinel ld.s defers on DTLB miss without walking
-                self.attrib.emit(SimEvent::DeferredLoad);
-                return Ok((Value::NAT, issue + 1));
+        }
+        // refill the buffer when streaming
+        self.ib_ops = (self.ib_ops + 6.0 - group_size as f64).clamp(0.0, self.cfg.ib_ops as f64);
+    }
+
+    /// Scoreboard: the group issues when all its sources are ready; the
+    /// latest-arriving source's producer takes the blame. Returns the
+    /// issue cycle.
+    fn scoreboard(&mut self, frame: &Frame, srcs: &[(u32, bool)]) -> u64 {
+        let now0 = self.attrib.total();
+        let mut need = now0;
+        let mut blame = StallProducer::Other;
+        for &(r, forward) in srcs {
+            let mut t = frame.ready[r as usize];
+            if forward {
+                t = t.saturating_sub(1); // predicate->branch forwarding
             }
-            if !self.dtlb.access(a) {
-                self.attrib.emit(SimEvent::DtlbWalk {
-                    cycles: self.cfg.tlb_walk_cycles,
-                });
+            if t > need {
+                need = t;
+                blame = frame.producer[r as usize];
             }
-            let v = self
-                .mem
-                .read(a, bytes)
-                .map_err(|e| TrapKind::MemFault(e.addr))?;
-            let (lat, lvl) = self.hier.access_data(a);
-            self.attrib.emit(SimEvent::CacheAccess {
-                port: Port::Data,
-                level: lvl,
+        }
+        if need > now0 {
+            self.attrib.emit(SimEvent::ScoreboardStall {
+                producer: blame,
+                cycles: need - now0,
             });
-            // store-to-load forwarding conflict (micropipe)
-            if self
-                .recent_stores
-                .iter()
-                .any(|&(sa, sc)| sa == a >> 3 && issue.saturating_sub(sc) <= 2)
-            {
-                self.attrib.emit(SimEvent::StoreForward {
-                    cycles: self.cfg.store_forward_stall,
-                });
-            }
-            Ok((Value::new(v), issue + lat))
+        }
+        self.attrib.total()
+    }
+}
+
+impl Timing for Detail {
+    const TIMED: bool = true;
+
+    fn emit(&mut self, ev: SimEvent) {
+        self.attrib.emit(ev);
+    }
+
+    fn cond_branch(&mut self, addr: u64, taken: bool) {
+        let correct = self.pred.observe(addr, taken);
+        self.attrib.emit(SimEvent::BranchPredicted {
+            correct,
+            flush_cycles: self.cfg.mispredict_penalty,
+        });
+        if self.attrib.wants_branches() {
+            self.attrib.branch(BranchRecord::Cond { addr, taken });
         }
     }
-}
 
-/// Evaluate a non-label operand against a frame (pre-group register
-/// state, as IA-64 issue groups require).
-pub(crate) fn eval_operand(frame: &Frame, mp: &MachProgram, o: &Operand) -> Value {
-    match *o {
-        Operand::Reg(v) => frame.regs[v.index()],
-        Operand::Imm(i) => Value::new(i as u64),
-        Operand::Global(g) => Value::new(mp.ir.globals[g.index()].addr),
-        Operand::FuncAddr(t) => Value::new(epic_ir::mem::func_addr(t)),
-        Operand::FrameAddr(off) => Value::new(frame.sp + off),
-        Operand::Label(_) => unreachable!("label evaluated as value"),
+    fn call(&mut self, ret_addr: u64) {
+        self.pred.push_return(ret_addr);
+        if self.attrib.wants_branches() {
+            self.attrib.branch(BranchRecord::Call { ret_addr });
+        }
     }
-}
 
-#[inline]
-pub(crate) fn alu(opcode: Opcode, a: u64, b: u64) -> u64 {
-    match opcode {
-        Opcode::Add => a.wrapping_add(b),
-        Opcode::Sub => a.wrapping_sub(b),
-        Opcode::Mul => a.wrapping_mul(b),
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Shl => a << (b & 63),
-        Opcode::Shr => a >> (b & 63),
-        Opcode::Sar => ((a as i64) >> (b & 63)) as u64,
-        _ => unreachable!("non-ALU opcode"),
+    fn ret(&mut self, addr: u64) {
+        // the return-address stack predicts returns; underflow mispredicts
+        if !self.pred.pop_return(addr) {
+            self.attrib.emit(SimEvent::ReturnMispredicted {
+                flush_cycles: self.cfg.mispredict_penalty,
+            });
+        }
+        if self.attrib.wants_branches() {
+            self.attrib.branch(BranchRecord::Ret { actual: addr });
+        }
+    }
+
+    fn data(&mut self, addr: u64, issue: u64, store: bool) -> u64 {
+        let (lat, lvl) = self.hier.access_data(addr);
+        self.attrib.emit(SimEvent::CacheAccess {
+            port: Port::Data,
+            level: lvl,
+        });
+        if store {
+            if self.recent_stores.len() == self.cfg.store_buffer {
+                self.recent_stores.pop_front();
+            }
+            self.recent_stores.push_back((addr >> 3, issue));
+        } else if self
+            .recent_stores
+            .iter()
+            .any(|&(sa, sc)| sa == addr >> 3 && issue.saturating_sub(sc) <= 2)
+        {
+            // store-to-load forwarding conflict (micropipe)
+            self.attrib.emit(SimEvent::StoreForward {
+                cycles: self.cfg.store_forward_stall,
+            });
+        }
+        issue + lat
     }
 }

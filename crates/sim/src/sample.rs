@@ -11,19 +11,23 @@
 //!
 //! # Value exactness
 //!
-//! The fast pass ([`FRun`]) is a *functional* executor that replicates
-//! the detailed simulator's value semantics exactly: issue groups commit
-//! atomically (reads see pre-group state, a branch may consume a
-//! same-group compare), predication, NaT deferral, the ALAT, and — only
-//! under [`SpecModel::Sentinel`] — the DTLB, because a sentinel `ld.s`
-//! defers iff the DTLB probe misses, which is value-affecting. Under
-//! [`SpecModel::General`] no value ever depends on cache/TLB/predictor
-//! state, so the functional pass skips them entirely. Consequently the
-//! functional op stream, trap set, output, and interval boundaries are
-//! bit-identical to the exact simulation, and a representative interval
-//! replayed from a snapshot executes exactly the ops the exact run
-//! executed there. Any functional trap falls back to an exact run, which
-//! reproduces the authentic [`SimTrap`].
+//! The fast pass ([`FRun`]) and the detailed simulator are one value
+//! engine ([`crate::engine`]) over one decoded program
+//! ([`crate::decode`]) with two kinds of timing: the detailed timing
+//! charges every cycle, while `FRun`'s cold and warm instantiations keep
+//! no clock and emit no events. Issue-group commit (reads see pre-group
+//! state, a branch may consume a same-group compare), predication, NaT
+//! deferral, the ALAT, and — only under [`SpecModel::Sentinel`] — the
+//! DTLB are therefore the same code in both: a sentinel `ld.s` defers
+//! iff the DTLB probe misses, which is value-affecting, so the
+//! functional pass keeps that DTLB exactly. Under [`SpecModel::General`]
+//! no value ever depends on cache/TLB/predictor state, and the
+//! functional pass keeps none of it. Consequently the functional op
+//! stream, trap set, output, and interval boundaries are bit-identical
+//! to the exact simulation by construction, and a representative
+//! interval replayed from a snapshot executes exactly the ops the exact
+//! run executed there. Any functional trap falls back to an exact run,
+//! which reproduces the authentic [`SimTrap`].
 //!
 //! # Warmup
 //!
@@ -39,23 +43,17 @@
 //! aggregate categories and the total are *derived from* the
 //! extrapolated per-function matrix.
 
-use crate::attrib::Attribution;
-use crate::attrib::FuncMatrix;
+use crate::attrib::{FuncMatrix, KernelReason, SimEvent};
 use crate::caches::Hierarchy;
 use crate::counters::{Category, Counters, CycleAccounting, NUM_CATEGORIES, NUM_COUNTERS};
-use crate::machine::{
-    alu, Exec, Frame, Sim, SimOptions, SimResult, SimTrap, SpecModel, TrapKind, NREGS,
-};
+use crate::decode::{build_tables, mix, GEntry, GroupTable};
+use crate::engine::{Engine, FState, Flow, Timing};
+use crate::machine::{run_exact, Exec, Sim, SimOptions, SimResult, SimTrap, SpecModel, TrapKind};
 use crate::predict::{AnyPredictor, BranchPredictor, PredictorSpec};
-use crate::rse::Rse;
 use crate::tlb::Dtlb;
 use epic_ir::interp::checksum;
-use epic_ir::mem::{
-    func_addr, func_from_addr, Memory, GLOBAL_BASE, HEAP_BASE, PAGE_SIZE, STACK_MAX, STACK_TOP,
-};
-use epic_ir::{CmpKind, Opcode, Operand, Value, Vreg};
-use epic_mach::{MachFunc, MachProgram, MachineConfig, Slot};
-use std::collections::VecDeque;
+use epic_ir::mem::{GLOBAL_BASE, HEAP_BASE, PAGE_SIZE, STACK_MAX, STACK_TOP};
+use epic_mach::{MachProgram, MachineConfig};
 
 /// Basic-block-vector dimensionality: issue-group start locations hash
 /// into this many slots.
@@ -161,575 +159,8 @@ pub struct SampleInfo {
 }
 
 // ---------------------------------------------------------------------
-// Issue-group tables
-// ---------------------------------------------------------------------
-
-/// A predecoded source operand. `Global`/`FuncAddr` fold to `Imm`
-/// constants at predecode time; `Bad` preserves the exact panic for a
-/// (verifier-rejected) label evaluated as data.
-#[derive(Clone, Copy)]
-enum PSrc {
-    Reg(u32),
-    Imm(u64),
-    FrameAddr(u64),
-    Bad,
-}
-
-/// Absent operand (e.g. a bare `ret`): evaluates to zero, as in `Sim`.
-const NO_SRC: PSrc = PSrc::Imm(0);
-
-/// Predecoded opcode payload. Branch targets and direct callees are
-/// resolved to indices; memory sizes to byte counts.
-#[derive(Clone, Copy)]
-enum PKind {
-    Alu(Opcode),
-    /// [`PKind::Alu`] specialized to reg/reg and reg/imm operands
-    /// (folding the operand-source dispatch into the opcode dispatch
-    /// removes two data-dependent branches per op; these shapes are the
-    /// bulk of every stream). Same pattern for `Mov`/`Cmp`/`Ld`/`St`.
-    AluRR(Opcode),
-    AluRI(Opcode),
-    Div,
-    Rem,
-    Cmp {
-        kind: CmpKind,
-        dst2: u32,
-    },
-    CmpRR {
-        kind: CmpKind,
-        dst2: u32,
-    },
-    CmpRI {
-        kind: CmpKind,
-        dst2: u32,
-    },
-    Mov,
-    MovR,
-    MovI,
-    MovF,
-    Ld {
-        bytes: u32,
-        spec: bool,
-        adv: bool,
-    },
-    /// Plain (non-speculative, non-advanced) load, reg / frame address.
-    LdR {
-        bytes: u32,
-    },
-    LdF {
-        bytes: u32,
-    },
-    ChkA {
-        bytes: u32,
-        key: u32,
-    },
-    Chk {
-        bytes: u32,
-    },
-    St {
-        bytes: u32,
-    },
-    /// Store specialized to reg/frame address and reg value.
-    StRR {
-        bytes: u32,
-    },
-    StFR {
-        bytes: u32,
-    },
-    /// Target bundle index; `u32::MAX` = unplaced block (traps if taken).
-    Br {
-        target: u32,
-    },
-    /// `br` whose operand is not a label (panics if executed, as `Sim`).
-    BrBad,
-    /// `callee == u32::MAX` = indirect (resolve `a` at run time);
-    /// `args` is a range into [`GroupTable::cargs`].
-    Call {
-        callee: u32,
-        args: (u32, u32),
-    },
-    Ret,
-    Out,
-    Alloc,
-}
-
-/// One predecoded op. `dst`/`guard` are register indices
-/// (`u32::MAX` = none); `off` is the bundle offset within the group
-/// (for predictor addresses).
-#[derive(Clone, Copy)]
-struct POp {
-    kind: PKind,
-    guard: u32,
-    dst: u32,
-    a: PSrc,
-    b: PSrc,
-    off: u16,
-    branch: bool,
-}
-
-/// One per-bundle issue-group record, packed so a group lookup touches
-/// a single cache line. For a group starting at bundle `i`: `end` is
-/// its stop bundle (`u32::MAX` = malformed start that runs off the
-/// code), `nops` its real-op count, `bbv` its precomputed BBV slot, and
-/// `off..off+len` its predecoded ops (`off == u32::MAX` where control
-/// can never land — predecoding covers only reachable starts). `direct`
-/// means register writes may commit straight into the frame (no op
-/// observes — or, via a taken call/return frame switch,
-/// discards/redirects — the pre-group value of a register written
-/// earlier in the group), skipping the two-phase write buffer.
-#[derive(Clone, Copy)]
-struct GEntry {
-    end: u32,
-    nops: u32,
-    off: u32,
-    len: u32,
-    /// Fused-run extent: a maximal chain of consecutive fallthrough
-    /// groups that are all direct-commit safe and contain no
-    /// control-flow op executes as one flat op slice, skipping the
-    /// per-group loop overhead (fuel, table fetch, BBV hash, flow
-    /// dispatch). `fend`/`fops`/`flen` mirror `end`/`nops`/`len` over
-    /// the whole chain; `fsteps` is its group count (1 = no fusion);
-    /// `fbbv..fbbv+fpairs` indexes [`GroupTable::bbv_pairs`] with the
-    /// chain's merged per-slot op counts.
-    fend: u32,
-    fops: u32,
-    flen: u32,
-    fbbv: u32,
-    fsteps: u16,
-    fpairs: u16,
-    bbv: u16,
-    direct: bool,
-}
-
-/// Per-function predecoded issue-group structure.
-struct GroupTable {
-    g: Vec<GEntry>,
-    pops: Vec<POp>,
-    cargs: Vec<PSrc>,
-    /// `(bbv slot, op count)` pairs for fused runs (see [`GEntry`]).
-    bbv_pairs: Vec<(u16, u32)>,
-}
-
-type RegMask = [u64; NREGS.div_ceil(64)];
-
-fn mask_get(m: &RegMask, r: u32) -> bool {
-    (r as usize) < NREGS && m[r as usize / 64] >> (r % 64) & 1 == 1
-}
-
-fn mask_set(m: &mut RegMask, r: u32) {
-    m[r as usize / 64] |= 1 << (r % 64);
-}
-
-/// Predecode the group `[first, end]` of `f`, appending its ops to the
-/// pools and computing the direct-commit safety flag plus `pure` (no
-/// control-flow op: execution provably falls through, the fusion
-/// precondition).
-fn predecode_group(
-    mp: &MachProgram,
-    f: &MachFunc,
-    first: usize,
-    end: usize,
-    pops: &mut Vec<POp>,
-    cargs: &mut Vec<PSrc>,
-) -> (u32, u32, bool, bool) {
-    let off = pops.len() as u32;
-    let mut written: RegMask = Default::default();
-    let mut any_write = false;
-    let mut direct = true;
-    let mut pure = true;
-    let psrc = |o: &Operand| match *o {
-        Operand::Reg(v) => PSrc::Reg(v.0),
-        Operand::Imm(i) => PSrc::Imm(i as u64),
-        Operand::Global(g) => PSrc::Imm(mp.ir.globals[g.index()].addr),
-        Operand::FuncAddr(t) => PSrc::Imm(func_addr(t)),
-        Operand::FrameAddr(o) => PSrc::FrameAddr(o),
-        Operand::Label(_) => PSrc::Bad,
-    };
-    for (k, b) in f.bundles[first..=end].iter().enumerate() {
-        for s in &b.slots {
-            let Slot::Op(op) = s else { continue };
-            if matches!(op.opcode, Opcode::Nop) {
-                continue; // no architectural effect; counted via `nops`
-            }
-            // a source read sees pre-group state in buffered mode; if
-            // the register was written earlier in the group, direct
-            // commit would change what it reads
-            macro_rules! rd {
-                ($o:expr) => {{
-                    let s = psrc($o);
-                    if let PSrc::Reg(r) = s {
-                        if mask_get(&written, r) || r as usize >= NREGS {
-                            direct = false;
-                        }
-                    }
-                    s
-                }};
-            }
-            macro_rules! wr {
-                ($d:expr) => {{
-                    let d: u32 = $d;
-                    if (d as usize) < NREGS {
-                        mask_set(&mut written, d);
-                    } else {
-                        direct = false; // untrackable (traps at exec)
-                    }
-                    any_write = true;
-                }};
-            }
-            let is_br = op.is_branch();
-            let guard = match op.guard {
-                None => u32::MAX,
-                Some(g) => {
-                    // branch guards read latest-write semantics, which
-                    // direct commit matches; others read pre-group state
-                    if !is_br && mask_get(&written, g.0) {
-                        direct = false;
-                    }
-                    g.0
-                }
-            };
-            let dst = op.dsts.first().map_or(u32::MAX, |d| d.0);
-            let mut a = NO_SRC;
-            let mut bs = NO_SRC;
-            let kind = match op.opcode {
-                Opcode::Add
-                | Opcode::Sub
-                | Opcode::Mul
-                | Opcode::And
-                | Opcode::Or
-                | Opcode::Xor
-                | Opcode::Shl
-                | Opcode::Shr
-                | Opcode::Sar => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    wr!(dst);
-                    PKind::Alu(op.opcode)
-                }
-                Opcode::Div | Opcode::Rem => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    wr!(dst);
-                    if matches!(op.opcode, Opcode::Div) {
-                        PKind::Div
-                    } else {
-                        PKind::Rem
-                    }
-                }
-                Opcode::Cmp(kind) => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    wr!(dst);
-                    let dst2 = op.dsts.get(1).map_or(u32::MAX, |d| d.0);
-                    if dst2 != u32::MAX {
-                        wr!(dst2);
-                    }
-                    PKind::Cmp { kind, dst2 }
-                }
-                Opcode::Mov => {
-                    a = rd!(&op.srcs[0]);
-                    wr!(dst);
-                    PKind::Mov
-                }
-                Opcode::Ld(size) => {
-                    a = rd!(&op.srcs[0]);
-                    wr!(dst);
-                    PKind::Ld {
-                        bytes: size.bytes() as u32,
-                        spec: op.spec,
-                        adv: op.adv,
-                    }
-                }
-                Opcode::ChkA(size) => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    wr!(dst);
-                    let key = match op.srcs[0] {
-                        Operand::Reg(r) => r.0,
-                        _ => u32::MAX, // malformed; panics if executed
-                    };
-                    PKind::ChkA {
-                        bytes: size.bytes() as u32,
-                        key,
-                    }
-                }
-                Opcode::Chk(size) => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    wr!(dst);
-                    PKind::Chk {
-                        bytes: size.bytes() as u32,
-                    }
-                }
-                Opcode::St(size) => {
-                    a = rd!(&op.srcs[0]);
-                    bs = rd!(&op.srcs[1]);
-                    PKind::St {
-                        bytes: size.bytes() as u32,
-                    }
-                }
-                Opcode::Br => {
-                    pure = false;
-                    match op.srcs[0] {
-                        Operand::Label(t) => PKind::Br {
-                            target: f
-                                .block_entry
-                                .get(t.index())
-                                .copied()
-                                .flatten()
-                                .map_or(u32::MAX, |bi| bi as u32),
-                        },
-                        _ => PKind::BrBad,
-                    }
-                }
-                Opcode::Call => {
-                    pure = false;
-                    let callee = match op.srcs[0] {
-                        Operand::FuncAddr(t) => t.index() as u32,
-                        ref o => {
-                            a = rd!(o);
-                            u32::MAX
-                        }
-                    };
-                    let a0 = cargs.len() as u32;
-                    for so in &op.srcs[1..] {
-                        let ps = rd!(so);
-                        cargs.push(ps);
-                    }
-                    let a1 = cargs.len() as u32;
-                    // a taken call discards the group's buffered writes
-                    if any_write {
-                        direct = false;
-                    }
-                    PKind::Call {
-                        callee,
-                        args: (a0, a1),
-                    }
-                }
-                Opcode::Ret => {
-                    pure = false;
-                    a = op.srcs.first().map(|o| rd!(o)).unwrap_or(NO_SRC);
-                    // buffered writes commit *after* the return's frame
-                    // swap, i.e. into the caller's frame
-                    if any_write {
-                        direct = false;
-                    }
-                    PKind::Ret
-                }
-                Opcode::Out => {
-                    a = rd!(&op.srcs[0]);
-                    PKind::Out
-                }
-                Opcode::Alloc => {
-                    a = rd!(&op.srcs[0]);
-                    wr!(dst);
-                    PKind::Alloc
-                }
-                Opcode::Nop => unreachable!("filtered above"),
-            };
-            // fold the hottest operand shapes into the opcode dispatch
-            let kind = match (kind, a, bs) {
-                (PKind::Alu(o), PSrc::Reg(_), PSrc::Reg(_)) => PKind::AluRR(o),
-                (PKind::Alu(o), PSrc::Reg(_), PSrc::Imm(_)) => PKind::AluRI(o),
-                (PKind::Mov, PSrc::Reg(_), _) => PKind::MovR,
-                (PKind::Mov, PSrc::Imm(_), _) => PKind::MovI,
-                (PKind::Mov, PSrc::FrameAddr(_), _) => PKind::MovF,
-                (PKind::Cmp { kind, dst2 }, PSrc::Reg(_), PSrc::Reg(_)) => {
-                    PKind::CmpRR { kind, dst2 }
-                }
-                (PKind::Cmp { kind, dst2 }, PSrc::Reg(_), PSrc::Imm(_)) => {
-                    PKind::CmpRI { kind, dst2 }
-                }
-                (
-                    PKind::Ld {
-                        bytes,
-                        spec: false,
-                        adv: false,
-                    },
-                    PSrc::Reg(_),
-                    _,
-                ) => PKind::LdR { bytes },
-                (
-                    PKind::Ld {
-                        bytes,
-                        spec: false,
-                        adv: false,
-                    },
-                    PSrc::FrameAddr(_),
-                    _,
-                ) => PKind::LdF { bytes },
-                (PKind::St { bytes }, PSrc::Reg(_), PSrc::Reg(_)) => PKind::StRR { bytes },
-                (PKind::St { bytes }, PSrc::FrameAddr(_), PSrc::Reg(_)) => PKind::StFR { bytes },
-                (k, ..) => k,
-            };
-            pops.push(POp {
-                kind,
-                guard,
-                dst,
-                a,
-                b: bs,
-                off: k as u16,
-                branch: is_br,
-            });
-        }
-    }
-    (off, pops.len() as u32 - off, direct, pure)
-}
-
-fn build_tables(mp: &MachProgram) -> Vec<GroupTable> {
-    mp.funcs
-        .iter()
-        .enumerate()
-        .map(|(func_i, f)| {
-            let nb = f.bundles.len();
-            let mut g = vec![
-                GEntry {
-                    end: u32::MAX,
-                    nops: 0,
-                    off: u32::MAX,
-                    len: 0,
-                    fend: u32::MAX,
-                    fops: 0,
-                    flen: 0,
-                    fbbv: 0,
-                    fsteps: 1,
-                    fpairs: 0,
-                    bbv: 0,
-                    direct: false,
-                };
-                nb
-            ];
-            for i in (0..nb).rev() {
-                let b = &f.bundles[i];
-                if b.stop {
-                    g[i].end = i as u32;
-                    g[i].nops = b.op_count() as u32;
-                } else if i + 1 < nb && g[i + 1].end != u32::MAX {
-                    g[i].end = g[i + 1].end;
-                    g[i].nops = b.op_count() as u32 + g[i + 1].nops;
-                }
-                g[i].bbv = bbv_slot(func_i, i) as u16;
-            }
-            // predecode every start control can land on: sequential
-            // fallthroughs land after a stop, branches on block entries,
-            // calls on the function entry, returns after a stop
-            let mut pops = Vec::new();
-            let mut cargs = Vec::new();
-            let mut pure = vec![false; nb];
-            let natural: Vec<usize> = (0..nb)
-                .filter(|&i| i == 0 || f.bundles[i - 1].stop)
-                .collect();
-            let entries = f.block_entry.iter().filter_map(|e| *e);
-            for i in natural
-                .into_iter()
-                .chain(entries)
-                .chain(std::iter::once(f.entry))
-            {
-                if i < nb && g[i].end != u32::MAX && g[i].off == u32::MAX {
-                    let (off, len, direct, p) =
-                        predecode_group(mp, f, i, g[i].end as usize, &mut pops, &mut cargs);
-                    g[i].off = off;
-                    g[i].len = len;
-                    g[i].direct = direct;
-                    pure[i] = p;
-                }
-            }
-            // fuse maximal chains of pure direct fallthrough groups
-            // whose predecoded ops are adjacent in `pops` (consecutive
-            // natural starts always are: the natural loop above runs
-            // first, in ascending bundle order). The 64-group cap
-            // bounds interval-boundary overshoot and fuel-check lag.
-            let mut bbv_pairs: Vec<(u16, u32)> = Vec::new();
-            fn fusible(g: &[GEntry], pure: &[bool], i: usize) -> bool {
-                g[i].off != u32::MAX && g[i].end != u32::MAX && g[i].direct && pure[i]
-            }
-            for i in 0..nb {
-                g[i].fend = g[i].end;
-                g[i].fops = g[i].nops;
-                g[i].flen = g[i].len;
-                if !fusible(&g, &pure, i) {
-                    continue;
-                }
-                let mut pairs: Vec<(u16, u32)> = vec![(g[i].bbv, g[i].nops)];
-                let mut last = i;
-                loop {
-                    let next = g[last].end as usize + 1;
-                    if g[i].fsteps >= 64
-                        || next >= nb
-                        || !fusible(&g, &pure, next)
-                        || g[next].off != g[i].off + g[i].flen
-                    {
-                        break;
-                    }
-                    let ne = g[next];
-                    g[i].fend = ne.end;
-                    g[i].fops += ne.nops;
-                    g[i].flen += ne.len;
-                    g[i].fsteps += 1;
-                    match pairs.iter_mut().find(|(s, _)| *s == ne.bbv) {
-                        Some((_, n)) => *n += ne.nops,
-                        None => pairs.push((ne.bbv, ne.nops)),
-                    }
-                    last = next;
-                }
-                if g[i].fsteps > 1 {
-                    g[i].fbbv = bbv_pairs.len() as u32;
-                    g[i].fpairs = pairs.len() as u16;
-                    bbv_pairs.extend(pairs);
-                }
-            }
-            GroupTable {
-                g,
-                pops,
-                cargs,
-                bbv_pairs,
-            }
-        })
-        .collect()
-}
-
-/// Hash an issue-group start location into a BBV slot.
-fn bbv_slot(func_i: usize, bundle: usize) -> usize {
-    (mix(((func_i as u64) << 32) ^ bundle as u64) as usize) & (BBV_DIM - 1)
-}
-
-/// SplitMix64 finalizer (deterministic, std-only).
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------
 // Functional execution
 // ---------------------------------------------------------------------
-
-/// Architectural state of the functional executor — everything that
-/// affects *values*. Cloning is cheap: [`Memory`] pages are Arc-shared
-/// copy-on-write, so interval snapshots cost refcount bumps.
-#[derive(Clone)]
-struct FState {
-    mem: Memory,
-    frame: Frame,
-    stack: Vec<Frame>,
-    pos: (usize, usize),
-    depth: usize,
-    /// ALAT entries: (frame depth, value register) -> watched range.
-    alat: VecDeque<((usize, u32), u64, u64)>,
-    /// RSE occupancy (deterministic from call history; carried so the
-    /// injected detailed sim sees the exact register-stack state).
-    rse: Rse,
-    /// `Some` iff [`SpecModel::Sentinel`]: the DTLB is value-affecting
-    /// there (sentinel `ld.s` defers iff the probe misses) and must be
-    /// maintained exactly. `None` under `General`.
-    dtlb: Option<Dtlb>,
-    /// Page of the last exact-DTLB access: a repeat is a guaranteed hit
-    /// at the LRU head, so only the access counter needs bumping.
-    last_page: u64,
-    /// Retired-slot op count (the interval clock; matches `Sim::ops`).
-    ops: u64,
-}
 
 /// Per-set MRU mirror of one L1 cache. An access whose line is already
 /// the MRU way of its set changes no tag/LRU state anywhere in the
@@ -913,13 +344,12 @@ impl WarmState {
     }
 }
 
-/// The functional executor: replays the exact op stream ~10x faster than
-/// the detailed model by skipping all event emission and (under
-/// `General`) all timing structures.
+/// The functional executor: the value engine instantiated without a
+/// clock ([`Functional`]), replaying the exact op stream many times
+/// faster than the detailed model by skipping all event emission, fusing
+/// straight-line runs, and (under `General`) all timing structures.
 struct FRun<'a> {
-    mp: &'a MachProgram,
-    tabs: &'a [GroupTable],
-    alat_entries: usize,
+    eng: Engine<'a>,
     l1i_line: u64,
     /// `log2(l1i_line)` when the line size is a power of two (always in
     /// shipped configs): division in the warm fetch loop is a real
@@ -930,13 +360,6 @@ struct FRun<'a> {
     /// `OutOfFuel` — bail and fall back.
     step_limit: u64,
     steps: u64,
-    st: FState,
-    /// `Some` collects the `Out` stream (first pass only; replays must
-    /// not duplicate output).
-    out: Option<Vec<u64>>,
-    /// Retired frames recycled by `Call` (a malloc per call otherwise
-    /// shows up in profiles on call-heavy workloads).
-    free: Vec<Frame>,
     /// Per-function kernel-cycle tally (first pass only; `None` on
     /// window replays). Every kernel charge is a value-path event with
     /// a fixed config cost — `Out`, `Alloc`, NaT-page and wild
@@ -945,39 +368,62 @@ struct FRun<'a> {
     /// from representatives (wild loads are invisible to a BBV and
     /// unevenly spread within a phase, so they cluster poorly).
     kern: Option<Vec<u64>>,
-    /// Function owning the currently-executing group (`kern` row).
-    kfunc: usize,
-    /// Kernel cost of `Out` (`Alloc` costs half, as in `Sim`).
-    sys_cyc: u64,
-    /// Kernel cost of a NaT-page speculative load.
-    nat_cyc: u64,
-    /// Kernel cost of a wild speculative load (`General` model).
-    wild_cyc: u64,
 }
 
-/// Initial architectural state, mirroring `Sim::start`.
-fn initial_state(mp: &MachProgram, args: &[i64], opts: &SimOptions) -> FState {
-    let mut mem = Memory::new();
-    mem.init_globals(&mp.ir);
-    let entry = mp.ir.entry.index();
-    let ef = &mp.funcs[entry];
-    let mut frame = Frame::new(NREGS, STACK_TOP - ((ef.frame_size + 15) & !15));
-    for (i, &r) in ef.param_regs.iter().enumerate() {
-        frame.regs[r as usize] = Value::new(args.get(i).copied().unwrap_or(0) as u64);
+/// The functional [`Timing`] instantiations: cold replays compute values
+/// only, `WARM` replays also touch the warm timing structures, and both
+/// keep the exact kernel tally when given one.
+struct Functional<'w, const WARM: bool> {
+    warm: &'w mut WarmState,
+    /// Warm the DTLB surrogate too (no exact DTLB translates this run).
+    warm_tlb: bool,
+    kern: Option<&'w mut [u64]>,
+    /// Function owning the currently-executing group (`kern` row).
+    kfunc: usize,
+}
+
+impl<const WARM: bool> Timing for Functional<'_, WARM> {
+    const TIMED: bool = false;
+
+    #[inline(always)]
+    fn emit(&mut self, ev: SimEvent) {
+        if let SimEvent::Kernel { reason, cycles } = ev {
+            if let Some(k) = &mut self.kern {
+                k[self.kfunc] += cycles;
+            }
+            if WARM && reason == KernelReason::WildLoad {
+                self.warm.wild_loads += 1;
+            }
+        }
     }
-    let mut rse = Rse::new(opts.config.rse_capacity, opts.config.rse_cycle_per_reg);
-    rse.call(ef.n_gr);
-    FState {
-        mem,
-        frame,
-        stack: Vec::new(),
-        pos: (entry, ef.entry),
-        depth: 0,
-        alat: VecDeque::new(),
-        rse,
-        dtlb: (opts.spec_model == SpecModel::Sentinel).then(|| Dtlb::new(opts.config.dtlb_entries)),
-        last_page: u64::MAX,
-        ops: 0,
+
+    #[inline(always)]
+    fn cond_branch(&mut self, addr: u64, taken: bool) {
+        if WARM && !self.warm.pred.observe(addr, taken) {
+            self.warm.pred_mispredicts += 1;
+        }
+    }
+
+    #[inline(always)]
+    fn call(&mut self, ret_addr: u64) {
+        if WARM {
+            self.warm.pred.push_return(ret_addr);
+        }
+    }
+
+    #[inline(always)]
+    fn ret(&mut self, addr: u64) {
+        if WARM {
+            self.warm.pred.pop_return(addr);
+        }
+    }
+
+    #[inline(always)]
+    fn data(&mut self, addr: u64, _issue: u64, _store: bool) -> u64 {
+        if WARM {
+            self.warm.touch_data(addr, self.warm_tlb);
+        }
+        0
     }
 }
 
@@ -989,183 +435,15 @@ impl<'a> FRun<'a> {
         st: FState,
         collect_out: bool,
     ) -> FRun<'a> {
+        let line = opts.config.l1i.line;
         FRun {
-            mp,
-            tabs,
-            alat_entries: opts.config.alat_entries,
-            l1i_line: opts.config.l1i.line,
-            l1i_shift: opts
-                .config
-                .l1i
-                .line
-                .is_power_of_two()
-                .then(|| opts.config.l1i.line.trailing_zeros()),
+            eng: Engine::new(mp, tabs, opts, st, collect_out),
+            l1i_line: line,
+            l1i_shift: line.is_power_of_two().then(|| line.trailing_zeros()),
             step_limit: opts.fuel_cycles.saturating_add(1),
             steps: 0,
-            st,
-            out: collect_out.then(Vec::new),
-            free: Vec::new(),
             kern: collect_out.then(|| vec![0; mp.funcs.len()]),
-            kfunc: 0,
-            sys_cyc: opts.config.syscall_kernel_cycles,
-            nat_cyc: opts.config.nat_page_cycles,
-            wild_cyc: opts.config.wild_load_kernel_cycles,
         }
-    }
-
-    /// Tally an exactly-known kernel charge against the current
-    /// function (first pass only; replays carry `kern: None`).
-    #[inline]
-    fn kern_charge(&mut self, cycles: u64) {
-        if let Some(k) = &mut self.kern {
-            k[self.kfunc] += cycles;
-        }
-    }
-
-    /// A zeroed frame for `Call`, recycled from the free list when
-    /// possible. `ready`/`producer` are left stale: the functional pass
-    /// never reads them and `inject` re-zeroes `ready`.
-    fn fresh_frame(&mut self, sp: u64) -> Frame {
-        match self.free.pop() {
-            Some(mut f) => {
-                f.regs.fill(Value::default());
-                f.sp = sp;
-                f.ret_dst = None;
-                f
-            }
-            None => Frame::new(NREGS, sp),
-        }
-    }
-
-    /// Install an ALAT entry (FIFO replacement, same as `Sim`).
-    fn alat_insert(&mut self, reg: u32, addr: u64, size: u64) {
-        let key = (self.st.depth, reg);
-        self.st.alat.retain(|(k, ..)| *k != key);
-        if self.st.alat.len() >= self.alat_entries {
-            self.st.alat.pop_front();
-        }
-        self.st.alat.push_back((key, addr, size));
-    }
-
-    /// A load's value, replicating `Sim::do_load`'s value semantics
-    /// exactly (including the sentinel DTLB-probe deferral). Warm-mode
-    /// calls additionally touch the timing structures.
-    #[inline]
-    fn fload<const WARM: bool>(
-        &mut self,
-        addr: Value,
-        bytes: u64,
-        spec: bool,
-        warm: &mut WarmState,
-    ) -> Result<Value, TrapKind> {
-        if addr.nat {
-            return if spec {
-                Ok(Value::NAT)
-            } else {
-                Err(TrapKind::NatConsumed("load"))
-            };
-        }
-        let a = addr.bits;
-        if let Some(d) = &mut self.st.dtlb {
-            let page = a / PAGE_SIZE;
-            if spec {
-                // sentinel: the validity check and then the
-                // value-affecting probe both come before the data read,
-                // exactly as `do_load`
-                if !self.st.mem.is_valid(a) {
-                    if Memory::is_null_page(a) {
-                        self.kern_charge(self.nat_cyc);
-                    }
-                    return Ok(Value::NAT);
-                }
-                if page == self.st.last_page {
-                    d.accesses += 1; // repeat hit at the LRU head
-                } else if !d.probe(a) {
-                    return Ok(Value::NAT);
-                } else {
-                    d.access(a);
-                    self.st.last_page = page;
-                }
-            } else if page == self.st.last_page {
-                d.accesses += 1;
-            } else {
-                d.access(a);
-                self.st.last_page = page;
-            }
-            // (a non-speculative faulting load skips the validity
-            // pre-check `do_load` makes: the fault still surfaces from
-            // `read_fast` below and any trap falls back to an exact run,
-            // so the transient DTLB overcount is never observable)
-        }
-        // read_fast validates internally — one page lookup on the hot
-        // path; faults sort out NaT-vs-trap on the cold path below
-        match self.st.mem.read_fast(a, bytes) {
-            Ok(v) => {
-                if WARM {
-                    warm.touch_data(a, self.st.dtlb.is_none());
-                }
-                Ok(Value::new(v))
-            }
-            Err(e) => {
-                if spec && !self.st.mem.is_valid(a) {
-                    // only the `General` model reaches here speculatively
-                    // (sentinel deferred above): NaT page or wild load
-                    if Memory::is_null_page(a) {
-                        self.kern_charge(self.nat_cyc);
-                    } else {
-                        self.kern_charge(self.wild_cyc);
-                        if WARM {
-                            warm.wild_loads += 1;
-                        }
-                    }
-                    Ok(Value::NAT)
-                } else {
-                    Err(TrapKind::MemFault(e.addr))
-                }
-            }
-        }
-    }
-
-    /// A store's effects, replicating `Sim`'s semantics exactly
-    /// (sentinel DTLB access, fault, ALAT invalidation). Warm-mode
-    /// calls additionally touch the timing structures.
-    #[inline]
-    fn fstore<const WARM: bool>(
-        &mut self,
-        addr: Value,
-        val: Value,
-        bytes: u32,
-        warm: &mut WarmState,
-    ) -> Result<(), TrapKind> {
-        if addr.nat || val.nat {
-            return Err(TrapKind::NatConsumed("store"));
-        }
-        let exact_tlb = match &mut self.st.dtlb {
-            Some(d) => {
-                let page = addr.bits / PAGE_SIZE;
-                if page == self.st.last_page {
-                    d.accesses += 1; // repeat hit at the LRU head
-                } else {
-                    d.access(addr.bits);
-                    self.st.last_page = page;
-                }
-                true
-            }
-            None => false,
-        };
-        self.st
-            .mem
-            .write_fast(addr.bits, bytes as u64, val.bits)
-            .map_err(|e| TrapKind::MemFault(e.addr))?;
-        if WARM {
-            warm.touch_data(addr.bits, !exact_tlb);
-        }
-        // stores invalidate overlapping ALAT entries
-        let (sa, sz) = (addr.bits, bytes as u64);
-        self.st
-            .alat
-            .retain(|&(_, ea, es)| sa + sz <= ea || ea + es <= sa);
-        Ok(())
     }
 
     /// Execute issue groups until `st.ops >= target` (checked at group
@@ -1181,19 +459,23 @@ impl<'a> FRun<'a> {
         warm: &mut WarmState,
         mut bbv: Option<&mut [u64; BBV_DIM]>,
     ) -> Result<Option<u64>, TrapKind> {
-        let mp = self.mp;
-        let tabs = self.tabs;
-        let mut writes: Vec<(u32, Value)> = Vec::with_capacity(16);
-        while self.st.ops < target {
-            let (func_i, first) = self.st.pos;
+        let mp = self.eng.mp;
+        let tabs = self.eng.tabs;
+        let mut t = Functional::<WARM> {
+            warm,
+            warm_tlb: self.eng.st.dtlb.is_none(),
+            kern: self.kern.as_deref_mut(),
+            kfunc: 0,
+        };
+        while self.eng.st.ops < target {
+            let (func_i, first) = self.eng.st.pos;
             let f = &mp.funcs[func_i];
             let tab = &tabs[func_i];
-            if first >= f.bundles.len() {
+            let Some(&e) = tab.g.get(first) else {
                 return Err(TrapKind::Malformed(format!(
                     "fell off code at bundle {first}"
                 )));
-            }
-            let e = tab.g[first];
+            };
             if e.end == u32::MAX {
                 return Err(TrapKind::Malformed("issue group runs off the code".into()));
             }
@@ -1206,7 +488,7 @@ impl<'a> FRun<'a> {
                 return Err(TrapKind::OutOfFuel);
             }
             let end = e.fend as usize;
-            self.st.ops += e.fops as u64;
+            self.eng.st.ops += e.fops as u64;
             if PROF {
                 if let Some(b) = bbv.as_deref_mut() {
                     if e.fsteps == 1 {
@@ -1231,8 +513,8 @@ impl<'a> FRun<'a> {
                 };
                 for l in l0..=l1 {
                     let a = l * self.l1i_line;
-                    if warm.ifilter.forward(a) {
-                        warm.hier.fetch_inst(a);
+                    if t.warm.ifilter.forward(a) {
+                        t.warm.hier.fetch_inst(a);
                     }
                 }
             }
@@ -1242,381 +524,26 @@ impl<'a> FRun<'a> {
                 // authentic trap)
                 return Err(TrapKind::Malformed("entered mid-group".into()));
             }
+            t.kfunc = func_i;
+            let eng = &mut self.eng;
             let flow = if e.fsteps > 1 {
                 // a fused run is all-direct and control-free: execute
                 // its whole op slice as one straight line
                 let fe = GEntry { len: e.flen, ..e };
-                self.exec_group::<true, WARM>(func_i, first, end, fe, warm, &mut writes)?
+                eng.exec_group::<true, _>(&mut t, func_i, first, end, fe, 0)?
             } else if e.direct {
-                self.exec_group::<true, WARM>(func_i, first, end, e, warm, &mut writes)?
+                eng.exec_group::<true, _>(&mut t, func_i, first, end, e, 0)?
             } else {
-                self.exec_group::<false, WARM>(func_i, first, end, e, warm, &mut writes)?
+                eng.exec_group::<false, _>(&mut t, func_i, first, end, e, 0)?
             };
             match flow {
-                Flow::Fall => self.st.pos = (func_i, end + 1),
-                Flow::Jump(p) => self.st.pos = p,
+                Flow::Fall => self.eng.st.pos = (func_i, end + 1),
+                Flow::Jump(p) => self.eng.st.pos = p,
                 Flow::Done(ret) => return Ok(Some(ret)),
             }
         }
         Ok(None)
     }
-
-    /// Execute one predecoded issue group. `DIRECT` commits register
-    /// writes straight into the frame (proved safe at predecode time);
-    /// otherwise writes buffer and commit at group end, exactly like the
-    /// detailed sim's two-phase issue.
-    #[inline(always)]
-    fn exec_group<const DIRECT: bool, const WARM: bool>(
-        &mut self,
-        func_i: usize,
-        first: usize,
-        end: usize,
-        e: GEntry,
-        warm: &mut WarmState,
-        writes: &mut Vec<(u32, Value)>,
-    ) -> Result<Flow, TrapKind> {
-        let mp = self.mp;
-        let tabs = self.tabs;
-        self.kfunc = func_i;
-        let tab = &tabs[func_i];
-        let f = &mp.funcs[func_i];
-        let pops = &tab.pops[e.off as usize..(e.off + e.len) as usize];
-        if !DIRECT {
-            writes.clear();
-        }
-        let mut flow = Flow::Fall;
-        let mut call_push: Option<Frame> = None;
-        'ops: for pop in pops {
-            let guard_val = match pop.guard {
-                u32::MAX => true,
-                g => {
-                    let v = if !DIRECT && pop.branch {
-                        // may consume this group's compare
-                        writes
-                            .iter()
-                            .rev()
-                            .find(|(r, _)| *r == g)
-                            .map(|(_, v)| *v)
-                            .unwrap_or(self.st.frame.regs[g as usize])
-                    } else {
-                        self.st.frame.regs[g as usize]
-                    };
-                    if WARM && pop.branch {
-                        let addr = f.bundle_addr(first + pop.off as usize);
-                        if !warm.pred.observe(addr, v.is_true()) {
-                            warm.pred_mispredicts += 1;
-                        }
-                    }
-                    v.is_true()
-                }
-            };
-            if !guard_val {
-                continue;
-            }
-            macro_rules! ev {
-                ($s:expr) => {
-                    match $s {
-                        PSrc::Reg(r) => self.st.frame.regs[r as usize],
-                        PSrc::Imm(x) => Value::new(x),
-                        PSrc::FrameAddr(o) => Value::new(self.st.frame.sp + o),
-                        PSrc::Bad => unreachable!("label evaluated as value"),
-                    }
-                };
-            }
-            macro_rules! put {
-                ($r:expr, $v:expr) => {
-                    if DIRECT {
-                        self.st.frame.regs[$r as usize] = $v;
-                    } else {
-                        writes.push(($r, $v));
-                    }
-                };
-            }
-            // irrefutable by predecode: the specialized kinds are only
-            // emitted for these operand shapes
-            macro_rules! reg {
-                ($s:expr) => {
-                    match $s {
-                        PSrc::Reg(r) => self.st.frame.regs[r as usize],
-                        _ => unreachable!("specialized reg operand"),
-                    }
-                };
-            }
-            macro_rules! imm {
-                ($s:expr) => {
-                    match $s {
-                        PSrc::Imm(x) => x,
-                        _ => unreachable!("specialized imm operand"),
-                    }
-                };
-            }
-            macro_rules! faddr {
-                ($s:expr) => {
-                    match $s {
-                        PSrc::FrameAddr(o) => Value::new(self.st.frame.sp + o),
-                        _ => unreachable!("specialized frame operand"),
-                    }
-                };
-            }
-            match pop.kind {
-                PKind::Alu(opc) => {
-                    let a = ev!(pop.a);
-                    let c = ev!(pop.b);
-                    put!(pop.dst, Value::lift2(a, c, |x, y| alu(opc, x, y)));
-                }
-                PKind::AluRR(opc) => {
-                    let a = reg!(pop.a);
-                    let c = reg!(pop.b);
-                    put!(pop.dst, Value::lift2(a, c, |x, y| alu(opc, x, y)));
-                }
-                PKind::AluRI(opc) => {
-                    let a = reg!(pop.a);
-                    let c = Value::new(imm!(pop.b));
-                    put!(pop.dst, Value::lift2(a, c, |x, y| alu(opc, x, y)));
-                }
-                k @ (PKind::Div | PKind::Rem) => {
-                    let a = ev!(pop.a);
-                    let c = ev!(pop.b);
-                    let v = if a.nat || c.nat {
-                        Value::NAT
-                    } else if c.bits == 0 {
-                        return Err(TrapKind::DivByZero);
-                    } else {
-                        let (x, y) = (a.bits as i64, c.bits as i64);
-                        Value::new(if matches!(k, PKind::Div) {
-                            x.wrapping_div(y) as u64
-                        } else {
-                            x.wrapping_rem(y) as u64
-                        })
-                    };
-                    put!(pop.dst, v);
-                }
-                PKind::Cmp { kind, dst2 } => {
-                    let a = ev!(pop.a);
-                    let c = ev!(pop.b);
-                    let (t, fv) = if a.nat || c.nat {
-                        (0u64, 0u64)
-                    } else {
-                        let r = kind.eval(a.bits, c.bits);
-                        (r as u64, !r as u64)
-                    };
-                    put!(pop.dst, Value::new(t));
-                    if dst2 != u32::MAX {
-                        put!(dst2, Value::new(fv));
-                    }
-                }
-                PKind::CmpRR { kind, dst2 } => {
-                    let a = reg!(pop.a);
-                    let c = reg!(pop.b);
-                    let (t, fv) = if a.nat || c.nat {
-                        (0u64, 0u64)
-                    } else {
-                        let r = kind.eval(a.bits, c.bits);
-                        (r as u64, !r as u64)
-                    };
-                    put!(pop.dst, Value::new(t));
-                    if dst2 != u32::MAX {
-                        put!(dst2, Value::new(fv));
-                    }
-                }
-                PKind::CmpRI { kind, dst2 } => {
-                    let a = reg!(pop.a);
-                    let c = imm!(pop.b);
-                    let (t, fv) = if a.nat {
-                        (0u64, 0u64)
-                    } else {
-                        let r = kind.eval(a.bits, c);
-                        (r as u64, !r as u64)
-                    };
-                    put!(pop.dst, Value::new(t));
-                    if dst2 != u32::MAX {
-                        put!(dst2, Value::new(fv));
-                    }
-                }
-                PKind::Mov => {
-                    let v = ev!(pop.a);
-                    put!(pop.dst, v);
-                }
-                PKind::MovR => {
-                    let v = reg!(pop.a);
-                    put!(pop.dst, v);
-                }
-                PKind::MovI => put!(pop.dst, Value::new(imm!(pop.a))),
-                PKind::MovF => put!(pop.dst, faddr!(pop.a)),
-                PKind::Ld { bytes, spec, adv } => {
-                    let addr = ev!(pop.a);
-                    let v = self.fload::<WARM>(addr, bytes as u64, spec, &mut *warm)?;
-                    if adv && !addr.nat && !v.nat {
-                        self.alat_insert(pop.dst, addr.bits, bytes as u64);
-                    }
-                    put!(pop.dst, v);
-                }
-                PKind::LdR { bytes } => {
-                    let addr = reg!(pop.a);
-                    let v = self.fload::<WARM>(addr, bytes as u64, false, &mut *warm)?;
-                    put!(pop.dst, v);
-                }
-                PKind::LdF { bytes } => {
-                    let addr = faddr!(pop.a);
-                    let v = self.fload::<WARM>(addr, bytes as u64, false, &mut *warm)?;
-                    put!(pop.dst, v);
-                }
-                PKind::ChkA { bytes, key } => {
-                    let v = ev!(pop.a);
-                    if key == u32::MAX {
-                        unreachable!("verified chk.a shape");
-                    }
-                    let k = (self.st.depth, key);
-                    let hit = self.st.alat.iter().any(|(k2, ..)| *k2 == k) && !v.nat;
-                    if hit {
-                        put!(pop.dst, v);
-                    } else {
-                        let rv = self.fload::<WARM>(ev!(pop.b), bytes as u64, false, &mut *warm)?;
-                        put!(pop.dst, rv);
-                    }
-                }
-                PKind::Chk { bytes } => {
-                    let v = ev!(pop.a);
-                    if v.nat {
-                        let rv = self.fload::<WARM>(ev!(pop.b), bytes as u64, false, &mut *warm)?;
-                        put!(pop.dst, rv);
-                    } else {
-                        put!(pop.dst, v);
-                    }
-                }
-                PKind::St { bytes } => {
-                    let addr = ev!(pop.a);
-                    let val = ev!(pop.b);
-                    self.fstore::<WARM>(addr, val, bytes, &mut *warm)?;
-                }
-                PKind::StRR { bytes } => {
-                    let addr = reg!(pop.a);
-                    let val = reg!(pop.b);
-                    self.fstore::<WARM>(addr, val, bytes, &mut *warm)?;
-                }
-                PKind::StFR { bytes } => {
-                    let addr = faddr!(pop.a);
-                    let val = reg!(pop.b);
-                    self.fstore::<WARM>(addr, val, bytes, &mut *warm)?;
-                }
-                PKind::Br { target } => {
-                    if target == u32::MAX {
-                        return Err(TrapKind::Malformed("branch to unplaced block".into()));
-                    }
-                    flow = Flow::Jump((func_i, target as usize));
-                    break 'ops;
-                }
-                PKind::BrBad => panic!("branch label"),
-                PKind::Call { callee, args } => {
-                    let callee = if callee != u32::MAX {
-                        callee as usize
-                    } else {
-                        let v = ev!(pop.a);
-                        if v.nat {
-                            return Err(TrapKind::NatConsumed("call"));
-                        }
-                        func_from_addr(v.bits)
-                            .ok_or(TrapKind::BadCall(v.bits))?
-                            .index()
-                    };
-                    let cf = &mp.funcs[callee];
-                    self.st.rse.call(cf.n_gr);
-                    if WARM {
-                        warm.pred.push_return(f.bundle_addr(end + 1));
-                    }
-                    let sp = self.st.frame.sp - ((cf.frame_size + 15) & !15);
-                    if sp < STACK_TOP - STACK_MAX {
-                        return Err(TrapKind::MemFault(sp));
-                    }
-                    let mut nf = self.fresh_frame(sp);
-                    let argv = &tab.cargs[args.0 as usize..args.1 as usize];
-                    for (ai, &pr) in cf.param_regs.iter().enumerate() {
-                        if let Some(&a) = argv.get(ai) {
-                            nf.regs[pr as usize] = ev!(a);
-                        }
-                    }
-                    nf.ret_pos = (func_i, end + 1);
-                    nf.ret_dst = (pop.dst != u32::MAX).then(|| Vreg(pop.dst));
-                    self.st.depth += 1;
-                    flow = Flow::Jump((callee, cf.entry));
-                    call_push = Some(nf);
-                    break 'ops;
-                }
-                PKind::Ret => {
-                    let val = ev!(pop.a);
-                    self.st.rse.ret();
-                    match self.st.stack.pop() {
-                        Some(mut caller) => {
-                            if WARM {
-                                let rp = self.st.frame.ret_pos;
-                                warm.pred.pop_return(mp.funcs[rp.0].bundle_addr(rp.1));
-                            }
-                            if let Some(d) = self.st.frame.ret_dst {
-                                caller.regs[d.index()] = val;
-                            }
-                            let next = self.st.frame.ret_pos;
-                            self.free
-                                .push(std::mem::replace(&mut self.st.frame, caller));
-                            let d = self.st.depth;
-                            self.st.alat.retain(|&((fd, _), ..)| fd < d);
-                            self.st.depth -= 1;
-                            flow = Flow::Jump(next);
-                            break 'ops;
-                        }
-                        None => {
-                            if val.nat {
-                                return Err(TrapKind::NatConsumed("main return"));
-                            }
-                            flow = Flow::Done(val.bits);
-                            break 'ops;
-                        }
-                    }
-                }
-                PKind::Out => {
-                    let v = ev!(pop.a);
-                    if v.nat {
-                        return Err(TrapKind::NatConsumed("out"));
-                    }
-                    self.kern_charge(self.sys_cyc);
-                    if let Some(o) = &mut self.out {
-                        o.push(v.bits);
-                    }
-                }
-                PKind::Alloc => {
-                    let n = ev!(pop.a);
-                    if n.nat {
-                        return Err(TrapKind::NatConsumed("alloc"));
-                    }
-                    self.kern_charge(self.sys_cyc / 2);
-                    let p = self.st.mem.alloc(n.bits);
-                    put!(pop.dst, Value::new(p));
-                }
-            }
-        }
-        // --- commit (writes are discarded on a call, as in `Sim`; a
-        // return swapped frames already, so buffered writes land in the
-        // caller, also as in `Sim`) ---
-        if let Some(nf) = call_push {
-            if !DIRECT {
-                writes.clear();
-            }
-            self.st
-                .stack
-                .push(std::mem::replace(&mut self.st.frame, nf));
-        } else if !DIRECT {
-            for (r, v) in writes.drain(..) {
-                self.st.frame.regs[r as usize] = v;
-            }
-        }
-        Ok(flow)
-    }
-}
-
-/// Control-flow outcome of one issue group.
-enum Flow {
-    Fall,
-    Jump((usize, usize)),
-    Done(u64),
 }
 
 // ---------------------------------------------------------------------
@@ -1676,7 +603,9 @@ fn pass1(
     want_snaps: bool,
     warm_profile: bool,
 ) -> Result<Pass1, (TrapKind, (usize, usize))> {
-    let mut fr = FRun::new(mp, tabs, opts, initial_state(mp, args, opts), true);
+    let sentinel = opts.spec_model == SpecModel::Sentinel;
+    let (st, _) = FState::start(mp, args, opts, sentinel);
+    let mut fr = FRun::new(mp, tabs, opts, st, true);
     let mut warm = WarmState::new(&opts.config, opts.predictor);
     let mut ends = Vec::new();
     let mut bbvs = Vec::new();
@@ -1687,7 +616,7 @@ fn pass1(
     let mut idx = 0u64;
     let ret = loop {
         if want_snaps && idx % stride == 0 {
-            snaps.push((idx, fr.st.clone(), warm_profile.then(|| warm.clone())));
+            snaps.push((idx, fr.eng.st.clone(), warm_profile.then(|| warm.clone())));
             if snaps.len() > MAX_SNAPSHOTS {
                 stride *= 2;
                 snaps.retain(|(i, ..)| i % stride == 0);
@@ -1700,8 +629,8 @@ fn pass1(
         } else {
             fr.run_to::<false, true>(target, &mut warm, Some(&mut bbv))
         }
-        .map_err(|k| (k, fr.st.pos))?;
-        ends.push(fr.st.ops);
+        .map_err(|k| (k, fr.eng.st.pos))?;
+        ends.push(fr.eng.st.ops);
         bbvs.push(bbv);
         let cur = warm.features();
         let mut d = [0u64; N_FEAT];
@@ -1716,13 +645,13 @@ fn pass1(
         }
     };
     Ok(Pass1 {
-        total_ops: fr.st.ops,
+        total_ops: fr.eng.st.ops,
         ends,
         bbvs,
         feats,
         kernel_rows: fr.kern.take().unwrap_or_default(),
         snaps,
-        output: fr.out.take().unwrap_or_default(),
+        output: fr.eng.out.take().unwrap_or_default(),
         ret,
     })
 }
@@ -1924,38 +853,24 @@ struct AttribSnap {
 
 fn attrib_snap(sim: &Sim) -> AttribSnap {
     AttribSnap {
-        rows: sim.attrib.matrix().rows().to_vec(),
-        ctrs: sim.attrib.counters().to_array(),
+        rows: sim.t.attrib.matrix().rows().to_vec(),
+        ctrs: sim.t.attrib.counters().to_array(),
     }
 }
 
-/// Move functional + warm state into the detailed simulator. Scoreboard
-/// ready-times are zeroed (the functional pass has no clock); the
-/// store-forward window and fetch-buffer credit reset — both decay
-/// within a few cycles, part of the sampling error budget.
-fn inject(sim: &mut Sim, st: FState, warm: WarmState) {
-    sim.mem = st.mem;
-    sim.frame = st.frame;
-    sim.stack = st.stack;
-    sim.pos = st.pos;
-    sim.depth = st.depth;
-    sim.alat = st.alat;
-    sim.rse = st.rse;
-    sim.ops = st.ops;
-    sim.hier = warm.hier;
-    sim.pred = warm.pred;
+/// Move functional + warm state into the detailed simulator. The
+/// functional pass has no clock, so its frames' ready times are all
+/// zero; the store-forward window and fetch-buffer credit reset — both
+/// decay within a few cycles, part of the sampling error budget.
+fn inject(sim: &mut Sim, mut st: FState, warm: WarmState) {
     // Sentinel carries the exact (value-affecting) DTLB; General warms one.
-    sim.dtlb = st.dtlb.unwrap_or_else(|| warm.dtlb.rebuild());
-    sim.ib_ops = 0.0;
-    sim.last_line = u64::MAX;
-    sim.recent_stores.clear();
-    sim.output.clear();
-    for t in &mut sim.frame.ready {
-        *t = 0;
-    }
-    for t in sim.stack.iter_mut().flat_map(|f| f.ready.iter_mut()) {
-        *t = 0;
-    }
+    st.dtlb.get_or_insert_with(|| warm.dtlb.rebuild());
+    sim.eng.st = st;
+    sim.t.hier = warm.hier;
+    sim.t.pred = warm.pred;
+    sim.t.ib_ops = 0.0;
+    sim.t.last_line = u64::MAX;
+    sim.t.recent_stores.clear();
 }
 
 /// Exact run tagged with sampling metadata (the fallback path for runs
@@ -1968,19 +883,9 @@ fn run_exact_tagged(
     sinks: Vec<Box<dyn crate::attrib::EventSink>>,
     info: Option<SampleInfo>,
 ) -> Result<SimResult, SimTrap> {
-    let mut sim = Sim::new(mp, opts);
-    for s in sinks {
-        sim.attrib.add_sink(s);
-    }
-    sim.start(args);
-    match sim.exec(u64::MAX)? {
-        Exec::Done(ret) => {
-            let mut r = sim.into_result(ret);
-            r.sample = info;
-            Ok(r)
-        }
-        Exec::Paused => unreachable!("unbounded exec cannot pause"),
-    }
+    let mut r = run_exact(mp, args, opts, sinks)?;
+    r.sample = info;
+    Ok(r)
 }
 
 /// Scale `x` by the rational `num/den` with round-half-up, exact in
@@ -2079,9 +984,10 @@ pub(crate) fn run_sampled(
     }
 
     // --- detailed simulation of the representatives ---
-    let mut sim = Sim::new(mp, opts);
+    let (st, _) = FState::start(mp, args, opts, true);
+    let mut sim = Sim::new(mp, &tabs, opts, st, false);
     for s in sinks {
-        sim.attrib.add_sink(s);
+        sim.t.attrib.add_sink(s);
     }
     let mut rows_acc: Vec<[u128; NUM_CATEGORIES]> = vec![[0; NUM_CATEGORIES]; mp.funcs.len()];
     let mut ctrs_acc = [0u128; NUM_COUNTERS];
@@ -2104,20 +1010,23 @@ pub(crate) fn run_sampled(
         // inside a fused run would make the two disagree. `ends[r]` is
         // a group boundary, so the detailed sim lands on it exactly.
         let fin = sim.exec(p1.ends[r])?;
-        debug_assert_eq!(sim.ops, p1.ends[r], "detail window missed its boundary");
+        debug_assert_eq!(
+            sim.eng.st.ops, p1.ends[r],
+            "detail window missed its boundary"
+        );
         if let Exec::Done(ret) = fin {
             debug_assert_eq!(ret, p1.ret, "detail replay diverged from profile");
         }
         let rep_ops = iops(r);
         *sampled_ops += rep_ops;
         let w = weight[c];
-        for (fi, row) in sim.attrib.matrix().rows().iter().enumerate() {
+        for (fi, row) in sim.t.attrib.matrix().rows().iter().enumerate() {
             for (k, cell) in row.iter().enumerate() {
                 let d = cell - before.rows[fi][k];
                 rows_acc[fi][k] += scale(d, w, rep_ops);
             }
         }
-        let after = sim.attrib.counters().to_array();
+        let after = sim.t.attrib.counters().to_array();
         for k in 0..NUM_COUNTERS {
             ctrs_acc[k] += scale(after[k] - before.ctrs[k], w, rep_ops);
         }
@@ -2169,7 +1078,7 @@ pub(crate) fn run_sampled(
             // honest: fall back to exact
             return run_exact_tagged(mp, args, opts, Vec::new(), None);
         };
-        inject(&mut sim, fr.st, warm);
+        inject(&mut sim, fr.eng.st, warm);
         detail(&mut sim, c, &mut rows_acc, &mut ctrs_acc, &mut sampled_ops)?;
     }
 
@@ -2236,11 +1145,7 @@ pub(crate) fn run_sampled(
         fallback: false,
         phases: km.assignment,
     };
-    let trace = {
-        let attrib = std::mem::replace(&mut sim.attrib, Attribution::new(0));
-        let (_, _, _, trace) = attrib.finish();
-        trace
-    };
+    let (.., trace) = sim.t.attrib.finish();
     Ok(SimResult {
         checksum: checksum(&p1.output),
         output: p1.output,
@@ -2257,6 +1162,7 @@ pub(crate) fn run_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::bbv_slot;
 
     /// Deterministic pseudo-random BBVs: `n` vectors drawn from `k`
     /// distinct phase shapes plus per-vector jitter.
