@@ -9,8 +9,10 @@
 //! is exercised in release by `scripts/ci.sh` (via `epicc sample
 //! --bench`, which also enforces the wall-clock gate).
 
+use epic_core::speculate::{SpecModel as CompileSpec, SpeculateOptions};
+use epic_core::IlpOptions;
 use epic_driver::{compile, compile_source, CompileOptions, OptLevel};
-use epic_sim::{SamplePolicy, SimOptions, SimResult, Warmup, CATEGORIES};
+use epic_sim::{SamplePolicy, SimOptions, SimResult, SpecModel, Warmup, CATEGORIES};
 
 /// Total-cycle relative error budget per cell.
 const MAX_TOTAL_ERR: f64 = 0.05;
@@ -21,25 +23,48 @@ const MAX_CAT_ERR: f64 = 0.10;
 /// relative error is meaningless at that size).
 const CAT_SLACK: f64 = 0.01;
 
-fn run_pair(name: &str, level: OptLevel, policy: SamplePolicy) -> (SimResult, SimResult) {
+/// Exact and `policy` runs of one cell under `model`. Sentinel ILP-CS
+/// cells are compiled for the sentinel model (with `chk` recovery):
+/// that is the one mode where a value depends on the DTLB, which the
+/// functional pass must then maintain exactly.
+fn run_pair(
+    name: &str,
+    level: OptLevel,
+    model: SpecModel,
+    policy: SamplePolicy,
+) -> (SimResult, SimResult) {
     let w = epic_workloads::by_name(name).unwrap();
-    let c = compile(&w, &CompileOptions::for_level(level)).unwrap();
-    let exact = epic_sim::run(&c.mach, &w.ref_args, &SimOptions::default()).unwrap();
+    let mut copts = CompileOptions::for_level(level);
+    if model == SpecModel::Sentinel && level == OptLevel::IlpCs {
+        copts.ilp_override = Some(IlpOptions {
+            speculate: Some(SpeculateOptions {
+                model: CompileSpec::Sentinel,
+                ..SpeculateOptions::default()
+            }),
+            ..IlpOptions::default()
+        });
+    }
+    let c = compile(&w, &copts).unwrap();
+    let exact_opts = SimOptions {
+        spec_model: model,
+        ..SimOptions::default()
+    };
+    let exact = epic_sim::run(&c.mach, &w.ref_args, &exact_opts).unwrap();
     let sampled = epic_sim::run(
         &c.mach,
         &w.ref_args,
         &SimOptions {
             sample: policy,
-            ..SimOptions::default()
+            ..exact_opts
         },
     )
     .unwrap();
     (exact, sampled)
 }
 
-fn assert_cell_agrees(name: &str, level: OptLevel) {
-    let (exact, sampled) = run_pair(name, level, SamplePolicy::default_sampled());
-    let tag = format!("{name} {}", level.name());
+fn assert_cell_agrees(name: &str, level: OptLevel, model: SpecModel) {
+    let (exact, sampled) = run_pair(name, level, model, SamplePolicy::default_sampled());
+    let tag = format!("{name} {} {model:?}", level.name());
 
     // functional results are exact, never extrapolated
     assert_eq!(sampled.output, exact.output, "{tag}: output diverged");
@@ -75,12 +100,15 @@ fn assert_cell_agrees(name: &str, level: OptLevel) {
     assert!(info.sampled_ops <= info.total_ops);
 }
 
-/// Debug-build-friendly subset: the four cheapest workloads, all levels.
+/// Debug-build-friendly subset: the four cheapest workloads, all
+/// levels, under both speculation recovery models.
 #[test]
 fn sampled_agrees_with_exact_on_small_workloads() {
-    for name in ["gzip_mc", "eon_mc", "vortex_mc", "bzip2_mc"] {
-        for level in OptLevel::ALL {
-            assert_cell_agrees(name, level);
+    for model in [SpecModel::General, SpecModel::Sentinel] {
+        for name in ["gzip_mc", "eon_mc", "vortex_mc", "bzip2_mc"] {
+            for level in OptLevel::ALL {
+                assert_cell_agrees(name, level, model);
+            }
         }
     }
 }
@@ -94,7 +122,7 @@ fn sampled_agrees_with_exact_on_small_workloads() {
 fn sampled_agrees_with_exact_full_matrix() {
     for w in epic_workloads::all() {
         for level in OptLevel::ALL {
-            assert_cell_agrees(w.name, level);
+            assert_cell_agrees(w.name, level, SpecModel::General);
         }
     }
 }
@@ -105,7 +133,7 @@ fn sampled_agrees_with_exact_full_matrix() {
 #[test]
 fn exact_policy_is_bit_identical() {
     for (name, level) in [("bzip2_mc", OptLevel::IlpCs), ("gzip_mc", OptLevel::Gcc)] {
-        let (exact, via_policy) = run_pair(name, level, SamplePolicy::Exact);
+        let (exact, via_policy) = run_pair(name, level, SpecModel::General, SamplePolicy::Exact);
         assert_eq!(via_policy.output, exact.output);
         assert_eq!(via_policy.checksum, exact.checksum);
         assert_eq!(via_policy.ret, exact.ret);
@@ -162,7 +190,7 @@ fn warmup_charges_are_excluded_from_totals() {
             max_clusters: 8,
             warmup,
         };
-        let (exact, sampled) = run_pair("bzip2_mc", OptLevel::IlpNs, policy);
+        let (exact, sampled) = run_pair("bzip2_mc", OptLevel::IlpNs, SpecModel::General, policy);
         sampled.check_identity().unwrap();
         assert_eq!(sampled.output, exact.output, "warmup {warmup:?} diverged");
         assert!(sampled.cycles > 0);
