@@ -15,6 +15,7 @@
 //! means) must bump [`CANON_VERSION`], which invalidates every existing
 //! cache entry rather than silently serving stale results.
 
+use crate::codec::Enc;
 use epic_driver::{CompileOptions, OptLevel, ProfileInput};
 use epic_mach::MachineConfig;
 use epic_sim::{PredictorSpec, SamplePolicy, SimOptions, SpecModel, Warmup};
@@ -73,80 +74,13 @@ pub fn hash_bytes(bytes: &[u8]) -> CacheKey {
     CacheKey { hi, lo }
 }
 
-/// Canonical byte writer: fixed-width little-endian scalars,
-/// length-prefixed byte strings. No self-describing framing — the
-/// reader is always the same code at the same version.
-#[derive(Default)]
-pub struct Canon {
-    buf: Vec<u8>,
-}
-
-impl Canon {
-    /// Fresh writer, already tagged with [`CANON_VERSION`].
-    pub fn new() -> Canon {
-        let mut c = Canon { buf: Vec::new() };
-        c.u32(CANON_VERSION);
-        c
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Append a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `i64`, little-endian two's complement.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `usize` as `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Append a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Append a length-prefixed `i64` slice.
-    pub fn i64s(&mut self, v: &[i64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.i64(x);
-        }
-    }
-
-    /// The accumulated canonical bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Hash the accumulated bytes.
-    pub fn key(self) -> CacheKey {
-        hash_bytes(&self.buf)
-    }
+/// A canonical-bytes writer: the wire [`Enc`] (fixed-width
+/// little-endian scalars, length-prefixed byte strings), already tagged
+/// with [`CANON_VERSION`].
+fn canon() -> Enc {
+    let mut c = Enc::new();
+    c.u32(CANON_VERSION);
+    c
 }
 
 /// Stable one-byte encoding of an [`OptLevel`] (Table 1 order).
@@ -183,7 +117,7 @@ pub fn spec_model_from_tag(tag: u8) -> Option<SpecModel> {
 
 /// Append a [`SamplePolicy`], tag byte first (0 exact, 1 sampled; the
 /// warmup nests its own tag: 0 cold, 1 ops, 2 full).
-pub fn canon_sample_policy(c: &mut Canon, p: SamplePolicy) {
+pub fn canon_sample_policy(c: &mut Enc, p: SamplePolicy) {
     match p {
         SamplePolicy::Exact => c.u8(0),
         SamplePolicy::Sampled {
@@ -208,7 +142,7 @@ pub fn canon_sample_policy(c: &mut Canon, p: SamplePolicy) {
 
 /// Append a [`PredictorSpec`]'s canonical configuration bytes (variant
 /// tag plus geometry, as defined by the sim crate).
-pub fn canon_predictor_spec(c: &mut Canon, spec: PredictorSpec) {
+pub fn canon_predictor_spec(c: &mut Enc, spec: PredictorSpec) {
     for b in spec.canon_bytes() {
         c.u8(b);
     }
@@ -232,7 +166,7 @@ pub fn profile_input_from_tag(tag: u8) -> Option<ProfileInput> {
 }
 
 /// Append every [`MachineConfig`] field, in declaration order.
-pub fn canon_machine_config(c: &mut Canon, cfg: &MachineConfig) {
+pub fn canon_machine_config(c: &mut Enc, cfg: &MachineConfig) {
     for cache in [&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3] {
         c.u64(cache.size);
         c.u64(cache.line);
@@ -376,7 +310,7 @@ impl JobSpec {
     /// input, and every compile option. Machine programs are shared
     /// across jobs that differ only in simulation parameters.
     pub fn compile_canon(&self) -> Vec<u8> {
-        let mut c = Canon::new();
+        let mut c = canon();
         c.u8(b'C');
         c.str(&self.source);
         c.i64s(&self.train_args);
@@ -403,7 +337,7 @@ impl JobSpec {
     /// full [`PredictorSpec::canon_bytes`], which no default encoding
     /// can collide with.
     pub fn job_canon(&self) -> Vec<u8> {
-        let mut c = Canon::new();
+        let mut c = canon();
         c.u8(b'J');
         c.bytes(&self.compile_canon());
         c.i64s(&self.ref_args);

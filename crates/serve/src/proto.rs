@@ -337,9 +337,7 @@ fn enc_spec(e: &mut Enc, s: &JobSpec) {
     e.bool(s.enable_data_spec);
     e.u64(s.profile_fuel);
     // the canonical encoding doubles as the wire encoding for the config
-    let mut canon = crate::key::Canon::default();
-    canon_machine_config(&mut canon, &s.config);
-    e.bytes(&canon.finish());
+    e.nested(|e| canon_machine_config(e, &s.config));
     e.u64(s.sim_fuel);
     e.u8(spec_model_tag(s.spec_model));
     enc_sample_policy(e, s.sample);

@@ -53,9 +53,6 @@ pub struct ServerConfig {
     /// Connections idle (no frame activity, not awaiting a job) longer
     /// than this are reaped.
     pub idle_timeout: Duration,
-    /// Longest the loop parks between readiness sweeps when nothing is
-    /// happening; wakeups cut a park short.
-    pub poll_park: Duration,
     /// Stable shard identity reported in [`ServeStats`] (0 for a
     /// standalone daemon; a fleet assigns distinct non-zero ids).
     pub shard_id: u64,
@@ -66,11 +63,14 @@ impl Default for ServerConfig {
         ServerConfig {
             max_conns: 1024,
             idle_timeout: Duration::from_secs(60),
-            poll_park: Duration::from_millis(5),
             shard_id: 0,
         }
     }
 }
+
+/// Longest the loop parks between readiness sweeps when nothing is
+/// happening (the wake socket's read timeout); wakeups cut a park short.
+const PARK: Duration = Duration::from_millis(5);
 
 /// The std-only self-pipe: completions (from worker threads) and
 /// [`ServerHandle::stop`] wake the parked loop by writing one byte to a
@@ -95,7 +95,7 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     let tx = TcpStream::connect(listener.local_addr()?)?;
     tx.set_nodelay(true)?;
     let (rx, _) = listener.accept()?;
-    rx.set_read_timeout(Some(Duration::from_millis(5)))?;
+    rx.set_read_timeout(Some(PARK))?;
     rx.set_nonblocking(true)?;
     Ok((rx, tx))
 }
@@ -396,7 +396,7 @@ impl EventLoop {
         woke
     }
 
-    /// Park until woken or the poll interval elapses; the park duration
+    /// Park until woken or [`PARK`] elapses; the park duration
     /// is the `serve.poll.wait_us` histogram.
     fn park(&mut self) {
         let t0 = Instant::now();
@@ -408,7 +408,7 @@ impl EventLoop {
             }
             let _ = self.wake_rx.set_nonblocking(true);
         } else {
-            std::thread::sleep(self.cfg.poll_park);
+            std::thread::sleep(PARK);
         }
         self.metrics
             .poll_wait_us
