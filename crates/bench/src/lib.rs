@@ -10,6 +10,8 @@
 //! substrate is a simulator and the workloads are stand-ins): orderings,
 //! approximate factors, and which benchmarks deviate in which direction.
 
+#![forbid(unsafe_code)]
+
 use epic_driver::{
     CachePolicy, CompileOptions, MeasureRequest, Measurement, OptLevel, TracePolicy,
 };

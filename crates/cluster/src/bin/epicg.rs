@@ -14,6 +14,8 @@
 //! argument order; ids must be stable across restarts or keys will
 //! re-route.
 
+#![forbid(unsafe_code)]
+
 use epic_cluster::{gate, GatewayConfig};
 use std::time::Duration;
 

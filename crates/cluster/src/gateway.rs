@@ -35,29 +35,31 @@
 //!   resolve against it (drained shards keep their addresses), so a
 //!   cutover is invisible to concurrent traffic. See DESIGN.md §15.
 //!
-//! Like the `epicd` loop, one thread owns every socket and multiplexes
-//! them with a nonblocking readiness sweep. Unlike it there is no
-//! cross-thread completion source, so the loop parks in a plain sleep
-//! ([`poll_park`](GatewayConfig::poll_park)) instead of a self-pipe;
-//! the hedge timer inherits that granularity, which is noise against
-//! any realistic hedge budget. Upstream connections are opened per
-//! attempt and closed after one response — an attempt is the unit of
-//! failover, and a connection that never outlives its attempt can
-//! never be stale.
+//! Like the `epicd` loop, one thread owns every socket, sweeps them with
+//! nonblocking I/O, and between sweeps blocks in the shared readiness
+//! wait ([`netloop::Poller`]): client connections are watched like
+//! `epicd`'s, upstreams for output space until their request is sent
+//! and for input after. The wait's timeout is the earliest hedge
+//! deadline, so a hedge fires at [`hedge_after`](GatewayConfig::hedge_after),
+//! not on a polling tick; [`GatewayHandle::stop`] ends it through the
+//! loop's [`Waker`]. The time blocked is the `cluster.poll.wait_us`
+//! histogram (`gateway.cluster.poll.wait_us` in a merged `metrics`
+//! answer). Upstream connections are opened per attempt and closed
+//! after one response — an attempt is the unit of failover, and a
+//! connection that never outlives its attempt can never be stale.
 
 use crate::merge::{merge_metrics, merge_stats};
 use crate::rebalance::{plan_moves, KeyMove};
 use crate::ring::Ring;
 use epic_serve::key::CacheKey;
+use epic_serve::netloop::{self, Interest, Key, OutFrame, Outcome, Poller, Slab, Waker};
 use epic_serve::proto::{
     self, AdminRequest, AdminResponse, FleetStatus, FrameError, FrameEvent, RebalanceReport,
     Request, Response, ShardInfo,
 };
 use epic_trace::{Counter, Gauge};
 use std::collections::HashMap;
-use std::io::{IoSlice, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,9 +71,6 @@ pub struct GatewayConfig {
     pub hedge_after: Duration,
     /// Per-attempt upstream connect timeout.
     pub connect_timeout: Duration,
-    /// Longest the loop sleeps between readiness sweeps; also the
-    /// hedge-timer granularity.
-    pub poll_park: Duration,
     /// Client admission cap, as in `epicd`.
     pub max_conns: usize,
 }
@@ -81,7 +80,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             hedge_after: Duration::from_millis(250),
             connect_timeout: Duration::from_secs(1),
-            poll_park: Duration::from_millis(5),
             max_conns: 1024,
         }
     }
@@ -92,7 +90,7 @@ impl Default for GatewayConfig {
 /// shards — only the `shutdown` verb does that, deliberately.
 pub struct GatewayHandle {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     loop_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -104,10 +102,8 @@ impl GatewayHandle {
 
     /// Stop the loop and close every connection.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.loop_thread.take() {
-            let _ = h.join();
-        }
+        self.waker.stop();
+        self.wait();
     }
 
     /// Block until the loop exits (a client sent `shutdown`).
@@ -135,37 +131,29 @@ pub fn gate(
     cfg: GatewayConfig,
 ) -> std::io::Result<GatewayHandle> {
     let ring = Ring::new(&shards.iter().map(|(id, _)| *id).collect::<Vec<_>>());
+    let invalid = |msg| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
     if ring.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "gateway needs at least one shard",
-        ));
+        return invalid("gateway needs at least one shard");
     }
     if ring.len() != shards.len() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "duplicate shard ids",
-        ));
+        return invalid("duplicate shard ids");
     }
     let listener = TcpListener::bind(listen_addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut gl = GatewayLoop {
+    let waker = Arc::new(Waker::new()?);
+    let poll_wait_us = epic_trace::global().histogram("cluster.poll.wait_us");
+    let gl = GatewayLoop {
         listener,
-        stop: Arc::clone(&stop),
+        waker: Arc::clone(&waker),
+        poller: Poller::new(Arc::clone(&waker), poll_wait_us),
         cfg,
         ring,
         addrs: shards.iter().cloned().collect(),
         metrics: GatewayMetrics::new(),
-        clients: Vec::new(),
-        client_free: Vec::new(),
-        live: 0,
-        next_gen: 0,
-        ups: Vec::new(),
-        up_free: Vec::new(),
-        pendings: Vec::new(),
-        pending_free: Vec::new(),
+        clients: Slab::default(),
+        ups: Slab::default(),
+        pendings: Slab::default(),
         failed: Vec::new(),
         ring_version: 1,
         drained: Vec::new(),
@@ -177,7 +165,7 @@ pub fn gate(
         .expect("spawn gateway loop");
     Ok(GatewayHandle {
         addr,
-        stop,
+        waker,
         loop_thread: Some(loop_thread),
     })
 }
@@ -230,71 +218,15 @@ struct ClientConn {
     stream: TcpStream,
     decoder: proto::FrameDecoder,
     state: CState,
-    header: [u8; 4],
-    out: Vec<u8>,
-    out_sent: usize,
-    gen: u64,
+    out: OutFrame,
     shutdown_after_write: bool,
 }
 
 impl ClientConn {
-    fn new(stream: TcpStream, gen: u64) -> ClientConn {
-        ClientConn {
-            stream,
-            decoder: proto::FrameDecoder::new(),
-            state: CState::Reading,
-            header: [0; 4],
-            out: Vec::new(),
-            out_sent: 0,
-            gen,
-            shutdown_after_write: false,
-        }
-    }
-
     fn stage_response(&mut self, resp: &Response) {
-        proto::encode_response_into(resp, &mut self.out);
-        self.header = (self.out.len() as u32).to_be_bytes();
-        self.out_sent = 0;
+        self.out.stage(resp);
         self.state = CState::Writing;
     }
-
-    fn write_progress(&mut self) -> std::io::Result<bool> {
-        write_frame_progress(
-            &mut self.stream,
-            &self.header,
-            &self.out,
-            &mut self.out_sent,
-        )
-    }
-}
-
-/// Push `header ++ body` out as far as the socket allows (vectored);
-/// `Ok(true)` when fully flushed.
-fn write_frame_progress(
-    stream: &mut TcpStream,
-    header: &[u8; 4],
-    body: &[u8],
-    sent: &mut usize,
-) -> std::io::Result<bool> {
-    let total = 4 + body.len();
-    while *sent < total {
-        let hdr = &header[(*sent).min(4)..];
-        let rest = &body[sent.saturating_sub(4)..];
-        let bufs = [IoSlice::new(hdr), IoSlice::new(rest)];
-        match stream.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "peer stopped accepting bytes mid-frame",
-                ))
-            }
-            Ok(n) => *sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 /// Typed admin refusal, framed as the `Admin` response verb.
@@ -327,9 +259,8 @@ enum Role {
 struct Upstream {
     stream: TcpStream,
     decoder: proto::FrameDecoder,
-    header: [u8; 4],
-    body: Vec<u8>,
-    sent: usize,
+    /// The request frame; once flushed, the attempt reads its response.
+    out: OutFrame,
     shard: u64,
     pending: usize,
     role: Role,
@@ -341,8 +272,7 @@ struct Upstream {
 enum Pending {
     /// A submit: hedgeable, failover-capable, replication-triggering.
     Submit {
-        client: usize,
-        client_gen: u64,
+        client: Key,
         /// The encoded request frame, kept for re-issue.
         raw: Vec<u8>,
         key: CacheKey,
@@ -358,8 +288,7 @@ enum Pending {
     /// Status/result/put: routed to the key's primary, one failover to
     /// the replica (where warm replication makes the answer meaningful).
     Simple {
-        client: usize,
-        client_gen: u64,
+        client: Key,
         raw: Vec<u8>,
         fallback: Option<u64>,
         tried: Vec<u64>,
@@ -369,8 +298,7 @@ enum Pending {
     /// Stats/metrics/shutdown broadcast; finalises when every shard has
     /// answered or failed.
     Fanout {
-        client: usize,
-        client_gen: u64,
+        client: Key,
         kind: FanKind,
         collected: Vec<(u64, Response)>,
         outstanding: u32,
@@ -381,19 +309,31 @@ enum Pending {
     /// [`GatewayLoop::admin`], this slot only anchors the requesting
     /// client and the in-flight attempt count.
     Admin {
-        client: usize,
-        client_gen: u64,
+        client: Key,
         outstanding: u32,
         done: bool,
     },
     /// A `fleet-status` census: per-shard key counts, `None` for a
     /// shard that did not answer.
     Fleet {
-        client: usize,
-        client_gen: u64,
+        client: Key,
         collected: Vec<(u64, Option<u64>)>,
         outstanding: u32,
     },
+}
+
+impl Pending {
+    /// Attempts issued for this request that have not reported back.
+    fn outstanding(&mut self) -> &mut u32 {
+        match self {
+            Pending::Submit { outstanding, .. }
+            | Pending::Simple { outstanding, .. }
+            | Pending::Fanout { outstanding, .. }
+            | Pending::Replicate { outstanding }
+            | Pending::Admin { outstanding, .. }
+            | Pending::Fleet { outstanding, .. } => outstanding,
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -443,19 +383,15 @@ struct AdminOp {
 
 struct GatewayLoop {
     listener: TcpListener,
-    stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+    poller: Poller,
     cfg: GatewayConfig,
     ring: Ring,
     addrs: HashMap<u64, String>,
     metrics: GatewayMetrics,
-    clients: Vec<Option<ClientConn>>,
-    client_free: Vec<usize>,
-    live: usize,
-    next_gen: u64,
-    ups: Vec<Option<Upstream>>,
-    up_free: Vec<usize>,
-    pendings: Vec<Option<Pending>>,
-    pending_free: Vec<usize>,
+    clients: Slab<ClientConn>,
+    ups: Slab<Upstream>,
+    pendings: Slab<Pending>,
     /// Attempts whose connect failed synchronously, deferred to a
     /// top-of-loop drain. Handling them inline would re-enter
     /// `attempt_failed` while the requesting client is checked out of
@@ -475,146 +411,130 @@ struct GatewayLoop {
 }
 
 impl GatewayLoop {
-    fn run(&mut self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            let mut progress = false;
-            progress |= self.accept_new();
-            let (p, shutdown) = self.pump_clients();
-            progress |= p;
-            if shutdown {
-                break;
+    /// Serve until stopped; every socket closes as the loop drops.
+    fn run(mut self) {
+        while !self.waker.stopped() {
+            self.accept_new();
+            if self.pump_clients() {
+                break; // shutdown fan-out acknowledged
             }
-            progress |= self.pump_upstreams();
-            self.hedge_scan();
-            progress |= self.drain_failed();
-            if !progress {
-                std::thread::sleep(self.cfg.poll_park);
+            self.pump_upstreams();
+            let hedge_at = self.hedge_scan();
+            self.drain_failed();
+            self.wait(hedge_at);
+        }
+        self.metrics.conns.set(0);
+    }
+
+    /// Block until a client or upstream can make progress, a new peer
+    /// knocks, `stop` wakes the loop, or `deadline` (the next hedge)
+    /// passes. Deferred connect failures are queued work no socket
+    /// signals; `drain_failed` has just emptied that queue, so the wait
+    /// can block.
+    fn wait(&mut self, deadline: Option<Instant>) {
+        debug_assert!(self.failed.is_empty());
+        let p = &mut self.poller;
+        p.register(&self.listener, Interest::Read);
+        for (_, c) in self.clients.iter() {
+            match c.state {
+                CState::Reading => p.register(&c.stream, Interest::Read),
+                CState::Writing => p.register(&c.stream, Interest::Write),
+                CState::Waiting(_) => {}
             }
         }
-        self.clients.clear();
-        self.ups.clear();
-        self.metrics.conns.set(0);
+        for (_, up) in self.ups.iter() {
+            let interest = if up.out.flushed() {
+                Interest::Read
+            } else {
+                Interest::Write
+            };
+            p.register(&up.stream, interest);
+        }
+        p.wait(deadline);
     }
 
     // ---- client face ----------------------------------------------------
 
-    fn accept_new(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    if self.live >= self.cfg.max_conns {
-                        let _ = stream.set_nonblocking(true);
-                        let mut body = Vec::new();
-                        proto::encode_response_into(
-                            &Response::Err("gateway at capacity".to_string()),
-                            &mut body,
-                        );
-                        let header = (body.len() as u32).to_be_bytes();
-                        let _ =
-                            (&stream).write_vectored(&[IoSlice::new(&header), IoSlice::new(&body)]);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.next_gen += 1;
-                    let conn = ClientConn::new(stream, self.next_gen);
-                    match self.client_free.pop() {
-                        Some(slot) => self.clients[slot] = Some(conn),
-                        None => self.clients.push(Some(conn)),
-                    }
-                    self.live += 1;
-                    self.metrics.conns.set(self.live as i64);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+    fn accept_new(&mut self) {
+        while let Some(stream) = netloop::accept(&self.listener) {
+            if self.clients.live() >= self.cfg.max_conns {
+                netloop::reject(stream, "gateway at capacity");
+                continue;
             }
+            self.clients.insert(ClientConn {
+                stream,
+                decoder: proto::FrameDecoder::new(),
+                state: CState::Reading,
+                out: OutFrame::default(),
+                shutdown_after_write: false,
+            });
+            self.metrics.conns.set(self.clients.live() as i64);
         }
-        progress
     }
 
-    /// Drive every client connection. Returns `(progress, shutdown)`.
-    fn pump_clients(&mut self) -> (bool, bool) {
-        let mut progress = false;
-        for slot in 0..self.clients.len() {
-            let Some(mut conn) = self.clients[slot].take() else {
+    /// Drive every client connection. Returns whether a shutdown was
+    /// acknowledged.
+    fn pump_clients(&mut self) -> bool {
+        for slot in 0..self.clients.slots() {
+            let Some(mut conn) = self.clients.check_out(slot) else {
                 continue;
             };
-            let before = (conn.out_sent, conn.decoder.mid_frame());
-            match self.pump_client(slot, &mut conn) {
-                ConnOutcome::Keep => {
-                    progress |= (conn.out_sent, conn.decoder.mid_frame()) != before;
-                    self.clients[slot] = Some(conn);
-                }
-                ConnOutcome::Close => {
-                    progress = true;
+            match self.pump_client(self.clients.key(slot), &mut conn) {
+                Outcome::Keep => self.clients.check_in(slot, conn),
+                outcome => {
                     drop(conn);
-                    self.release_client(slot);
-                }
-                ConnOutcome::Shutdown => {
-                    drop(conn);
-                    self.release_client(slot);
-                    return (true, true);
+                    self.clients.release(slot);
+                    self.metrics.conns.set(self.clients.live() as i64);
+                    if matches!(outcome, Outcome::Shutdown) {
+                        return true;
+                    }
                 }
             }
         }
-        (progress, false)
+        false
     }
 
-    fn release_client(&mut self, slot: usize) {
-        self.client_free.push(slot);
-        self.live -= 1;
-        self.metrics.conns.set(self.live as i64);
-    }
-
-    fn pump_client(&mut self, slot: usize, conn: &mut ClientConn) -> ConnOutcome {
+    fn pump_client(&mut self, client: Key, conn: &mut ClientConn) -> Outcome {
         for _ in 0..4 {
             match conn.state {
-                CState::Waiting(_) => return ConnOutcome::Keep,
+                CState::Waiting(_) => return Outcome::Keep,
                 CState::Reading => match conn.decoder.read_from(&mut conn.stream) {
                     Ok(FrameEvent::Frame) => {
-                        self.dispatch_client(slot, conn);
+                        self.dispatch_client(client, conn);
                         conn.decoder.next_frame();
                     }
-                    Ok(FrameEvent::Blocked) => return ConnOutcome::Keep,
-                    Ok(FrameEvent::Closed) => return ConnOutcome::Close,
+                    Ok(FrameEvent::Blocked) => return Outcome::Keep,
+                    Ok(FrameEvent::Closed) => return Outcome::Close,
                     Err(FrameError::TooLarge { len }) => {
                         // best-effort typed refusal, then hang up —
                         // mirroring epicd's hostile-prefix handling
                         conn.stage_response(&Response::Err(format!(
                             "frame length {len} exceeds cap"
                         )));
-                        let _ = conn.write_progress();
-                        return ConnOutcome::Close;
+                        let _ = conn.out.write_to(&mut conn.stream);
+                        return Outcome::Close;
                     }
-                    Err(_) => return ConnOutcome::Close,
+                    Err(_) => return Outcome::Close,
                 },
-                CState::Writing => match conn.write_progress() {
+                CState::Writing => match conn.out.write_to(&mut conn.stream) {
                     Ok(true) => {
                         if conn.shutdown_after_write {
-                            self.stop.store(true, Ordering::SeqCst);
-                            return ConnOutcome::Shutdown;
+                            return Outcome::Shutdown;
                         }
-                        conn.out.clear();
-                        conn.out_sent = 0;
                         conn.state = CState::Reading;
                     }
-                    Ok(false) => return ConnOutcome::Keep,
-                    Err(_) => return ConnOutcome::Close,
+                    Ok(false) => return Outcome::Keep,
+                    Err(_) => return Outcome::Close,
                 },
             }
         }
-        ConnOutcome::Keep
+        Outcome::Keep
     }
 
     /// Route one decoded client frame. The raw frame bytes are reused
     /// verbatim as the upstream request — the gateway re-encodes
     /// nothing it merely forwards.
-    fn dispatch_client(&mut self, slot: usize, conn: &mut ClientConn) {
+    fn dispatch_client(&mut self, client: Key, conn: &mut ClientConn) {
         let raw = conn.decoder.frame().to_vec();
         let req = match proto::decode_request(&raw) {
             Ok(req) => req,
@@ -627,9 +547,8 @@ impl GatewayLoop {
             Request::Submit { ref spec, .. } => {
                 let key = spec.job_key();
                 let route = self.ring.route(key).expect("non-empty ring");
-                let pid = self.alloc_pending(Pending::Submit {
-                    client: slot,
-                    client_gen: conn.gen,
+                let pid = self.pendings.insert(Pending::Submit {
+                    client,
                     raw,
                     key,
                     primary: route.primary,
@@ -645,9 +564,8 @@ impl GatewayLoop {
             }
             Request::Status(key) | Request::Result(key) | Request::Put { key, .. } => {
                 let route = self.ring.route(key).expect("non-empty ring");
-                let pid = self.alloc_pending(Pending::Simple {
-                    client: slot,
-                    client_gen: conn.gen,
+                let pid = self.pendings.insert(Pending::Simple {
+                    client,
                     raw,
                     fallback: route.replica,
                     tried: vec![route.primary],
@@ -672,9 +590,8 @@ impl GatewayLoop {
                 } else {
                     self.ring.shard_ids().to_vec()
                 };
-                let pid = self.alloc_pending(Pending::Fanout {
-                    client: slot,
-                    client_gen: conn.gen,
+                let pid = self.pendings.insert(Pending::Fanout {
+                    client,
                     kind,
                     collected: Vec::with_capacity(shards.len()),
                     outstanding: 0,
@@ -691,7 +608,7 @@ impl GatewayLoop {
                     "keys is a shard verb; ask the gateway for fleet-status".to_string(),
                 ));
             }
-            Request::Admin(admin) => self.dispatch_admin(slot, conn, admin),
+            Request::Admin(admin) => self.dispatch_admin(client, conn, admin),
         }
     }
 
@@ -711,13 +628,12 @@ impl GatewayLoop {
     /// spot (the conn is checked out of the slab here, so staging
     /// directly is both correct and required); accepted membership
     /// changes start the census phase.
-    fn dispatch_admin(&mut self, slot: usize, conn: &mut ClientConn, admin: AdminRequest) {
+    fn dispatch_admin(&mut self, client: Key, conn: &mut ClientConn, admin: AdminRequest) {
         match admin {
             AdminRequest::FleetStatus => {
                 let shards = self.known_shards();
-                let pid = self.alloc_pending(Pending::Fleet {
-                    client: slot,
-                    client_gen: conn.gen,
+                let pid = self.pendings.insert(Pending::Fleet {
+                    client,
                     collected: Vec::with_capacity(shards.len()),
                     outstanding: 0,
                 });
@@ -727,11 +643,10 @@ impl GatewayLoop {
                     self.issue_raw(shard, raw.clone(), pid, Role::Census);
                 }
             }
+            _ if self.admin.is_some() => {
+                conn.stage_response(&admin_err("a rebalance is already in progress"));
+            }
             AdminRequest::Join { id, addr } => {
-                if self.admin.is_some() {
-                    conn.stage_response(&admin_err("a rebalance is already in progress"));
-                    return;
-                }
                 if self.ring.shard_ids().contains(&id) {
                     conn.stage_response(&admin_err(&format!("shard {id} is already in the ring")));
                     return;
@@ -742,7 +657,7 @@ impl GatewayLoop {
                 let mut new_ring = self.ring.clone();
                 new_ring.join(id);
                 self.start_rebalance(
-                    slot,
+                    client,
                     conn,
                     new_ring,
                     None,
@@ -751,10 +666,6 @@ impl GatewayLoop {
                 );
             }
             AdminRequest::Drain { id } => {
-                if self.admin.is_some() {
-                    conn.stage_response(&admin_err("a rebalance is already in progress"));
-                    return;
-                }
                 if !self.ring.shard_ids().contains(&id) {
                     conn.stage_response(&admin_err(&format!("shard {id} is not in the ring")));
                     return;
@@ -765,7 +676,7 @@ impl GatewayLoop {
                     conn.stage_response(&admin_err("cannot drain the last shard"));
                     return;
                 }
-                self.start_rebalance(slot, conn, new_ring, Some(id), None, None);
+                self.start_rebalance(client, conn, new_ring, Some(id), None, None);
             }
         }
     }
@@ -776,7 +687,7 @@ impl GatewayLoop {
     /// intact.
     fn start_rebalance(
         &mut self,
-        slot: usize,
+        client: Key,
         conn: &mut ClientConn,
         new_ring: Ring,
         drain: Option<u64>,
@@ -784,9 +695,8 @@ impl GatewayLoop {
         drained_rollback: Option<u64>,
     ) {
         let census_targets: Vec<u64> = self.ring.shard_ids().to_vec();
-        let pid = self.alloc_pending(Pending::Admin {
-            client: slot,
-            client_gen: conn.gen,
+        let pid = self.pendings.insert(Pending::Admin {
+            client,
             outstanding: 0,
             done: false,
         });
@@ -815,49 +725,24 @@ impl GatewayLoop {
 
     // ---- pending bookkeeping --------------------------------------------
 
-    fn alloc_pending(&mut self, p: Pending) -> usize {
-        match self.pending_free.pop() {
-            Some(slot) => {
-                self.pendings[slot] = Some(p);
-                slot
-            }
-            None => {
-                self.pendings.push(Some(p));
-                self.pendings.len() - 1
-            }
-        }
-    }
-
     /// Decrement `outstanding`; free the slot once nothing is in flight
     /// and nobody will consult its `done` marker again.
     fn settle_attempt(&mut self, pid: usize) {
-        let free = match self.pendings.get_mut(pid).and_then(Option::as_mut) {
-            Some(
-                Pending::Submit { outstanding, .. }
-                | Pending::Simple { outstanding, .. }
-                | Pending::Fanout { outstanding, .. }
-                | Pending::Replicate { outstanding }
-                | Pending::Admin { outstanding, .. }
-                | Pending::Fleet { outstanding, .. },
-            ) => {
-                *outstanding -= 1;
-                *outstanding == 0
+        if let Some(p) = self.pendings.get_mut(pid) {
+            *p.outstanding() -= 1;
+            if *p.outstanding() == 0 {
+                self.pendings.remove(pid);
             }
-            None => return,
-        };
-        if free {
-            self.pendings[pid] = None;
-            self.pending_free.push(pid);
         }
     }
 
     /// Stage `resp` on the pending's client if that connection is still
     /// the one that asked.
-    fn answer_client(&mut self, client: usize, client_gen: u64, pid: usize, resp: &Response) {
-        let Some(conn) = self.clients.get_mut(client).and_then(Option::as_mut) else {
+    fn answer_client(&mut self, client: Key, pid: usize, resp: &Response) {
+        let Some(conn) = self.clients.get_by_key(client) else {
             return;
         };
-        if conn.gen != client_gen || !matches!(conn.state, CState::Waiting(p) if p == pid) {
+        if !matches!(conn.state, CState::Waiting(p) if p == pid) {
             return;
         }
         conn.stage_response(resp);
@@ -870,7 +755,7 @@ impl GatewayLoop {
 
     /// Issue the pending's stored request bytes to `shard`.
     fn issue(&mut self, shard: u64, pid: usize, role: Role) {
-        let raw = match self.pendings.get(pid).and_then(Option::as_ref) {
+        let raw = match self.pendings.get_mut(pid) {
             Some(Pending::Submit { raw, .. } | Pending::Simple { raw, .. }) => raw.clone(),
             _ => return,
         };
@@ -881,16 +766,8 @@ impl GatewayLoop {
     /// its one request. A connect failure is an attempt failure, routed
     /// through the same path as a mid-request drop.
     fn issue_raw(&mut self, shard: u64, raw: Vec<u8>, pid: usize, role: Role) {
-        if let Some(
-            Pending::Submit { outstanding, .. }
-            | Pending::Simple { outstanding, .. }
-            | Pending::Fanout { outstanding, .. }
-            | Pending::Replicate { outstanding }
-            | Pending::Admin { outstanding, .. }
-            | Pending::Fleet { outstanding, .. },
-        ) = self.pendings.get_mut(pid).and_then(Option::as_mut)
-        {
-            *outstanding += 1;
+        if let Some(p) = self.pendings.get_mut(pid) {
+            *p.outstanding() += 1;
         }
         let stream = self
             .addrs
@@ -916,20 +793,14 @@ impl GatewayLoop {
             });
         match stream {
             Ok(stream) => {
-                let up = Upstream {
+                self.ups.insert(Upstream {
                     stream,
                     decoder: proto::FrameDecoder::new(),
-                    header: (raw.len() as u32).to_be_bytes(),
-                    body: raw,
-                    sent: 0,
+                    out: OutFrame::new(raw),
                     shard,
                     pending: pid,
                     role,
-                };
-                match self.up_free.pop() {
-                    Some(slot) => self.ups[slot] = Some(up),
-                    None => self.ups.push(Some(up)),
-                }
+                });
             }
             Err(_) => {
                 self.metrics.upstream_errors.inc();
@@ -943,67 +814,49 @@ impl GatewayLoop {
     /// every fan-out has issued all of its legs. A failover re-issue
     /// that itself fails to connect re-enters the queue and is handled
     /// by the same drain.
-    fn drain_failed(&mut self) -> bool {
-        let progress = !self.failed.is_empty();
+    fn drain_failed(&mut self) {
         while let Some((pid, shard, role)) = self.failed.pop() {
             self.attempt_failed(pid, shard, role);
         }
-        progress
     }
 
-    fn pump_upstreams(&mut self) -> bool {
-        let mut progress = false;
-        for slot in 0..self.ups.len() {
-            let Some(mut up) = self.ups[slot].take() else {
+    fn pump_upstreams(&mut self) {
+        for slot in 0..self.ups.slots() {
+            let Some(mut up) = self.ups.check_out(slot) else {
                 continue;
             };
-            let before = (up.sent, up.decoder.mid_frame());
             match self.pump_upstream(&mut up) {
-                UpOutcome::Keep => {
-                    progress |= (up.sent, up.decoder.mid_frame()) != before;
-                    self.ups[slot] = Some(up);
-                }
-                UpOutcome::Done => {
-                    progress = true;
-                    drop(up);
-                    self.up_free.push(slot);
-                }
+                UpOutcome::Keep => self.ups.check_in(slot, up),
+                UpOutcome::Done => self.ups.release(slot),
                 UpOutcome::Failed => {
-                    progress = true;
+                    self.ups.release(slot);
                     self.metrics.upstream_errors.inc();
-                    let (pid, shard, role) = (up.pending, up.shard, up.role);
-                    drop(up);
-                    self.up_free.push(slot);
-                    self.attempt_failed(pid, shard, role);
+                    self.attempt_failed(up.pending, up.shard, up.role);
                 }
             }
         }
-        progress
     }
 
     fn pump_upstream(&mut self, up: &mut Upstream) -> UpOutcome {
         // flush the request first, then read exactly one response frame
-        if up.sent < 4 + up.body.len() {
-            match write_frame_progress(&mut up.stream, &up.header, &up.body, &mut up.sent) {
+        if !up.out.flushed() {
+            match up.out.write_to(&mut up.stream) {
                 Ok(true) => {}
                 Ok(false) => return UpOutcome::Keep,
                 Err(_) => return UpOutcome::Failed,
             }
         }
         match up.decoder.read_from(&mut up.stream) {
-            Ok(FrameEvent::Frame) => {
-                let resp = proto::decode_response(up.decoder.frame());
-                match resp {
-                    Ok(resp) => {
-                        self.on_upstream_response(up.shard, up.role, up.pending, resp);
-                        UpOutcome::Done
-                    }
-                    Err(_) => UpOutcome::Failed,
-                }
-            }
             Ok(FrameEvent::Blocked) => UpOutcome::Keep,
-            Ok(FrameEvent::Closed) => UpOutcome::Failed,
-            Err(_) => UpOutcome::Failed,
+            Ok(FrameEvent::Frame) => match proto::decode_response(up.decoder.frame()) {
+                Ok(resp) => {
+                    self.on_upstream_response(up.shard, up.role, up.pending, resp);
+                    UpOutcome::Done
+                }
+                Err(_) => UpOutcome::Failed,
+            },
+            // a close before the answer, or a garbled frame
+            _ => UpOutcome::Failed,
         }
     }
 
@@ -1011,14 +864,19 @@ impl GatewayLoop {
     /// `done` and are dropped (their work already warmed that shard's
     /// cache — content addressing makes the duplicate free).
     fn on_upstream_response(&mut self, shard: u64, role: Role, pid: usize, resp: Response) {
-        let Some(pending) = self.pendings.get_mut(pid).and_then(Option::as_mut) else {
+        let Some(pending) = self.pendings.get_mut(pid) else {
             self.settle_attempt(pid);
             return;
         };
         match pending {
+            // a late hedge loser, a fire-and-forget put, or a leg of an
+            // already finished or aborted rebalance
+            Pending::Submit { done: true, .. }
+            | Pending::Simple { done: true, .. }
+            | Pending::Admin { done: true, .. }
+            | Pending::Replicate { .. } => self.settle_attempt(pid),
             Pending::Submit {
                 client,
-                client_gen,
                 key,
                 primary,
                 replica,
@@ -1026,12 +884,8 @@ impl GatewayLoop {
                 done,
                 ..
             } => {
-                if *done {
-                    self.settle_attempt(pid);
-                    return;
-                }
                 *done = true;
-                let (client, client_gen) = (*client, *client_gen);
+                let client = *client;
                 let (key, primary, replica, hedged) = (*key, *primary, *replica, *hedged);
                 if role == Role::Hedge {
                     self.metrics.hedge_wins.inc();
@@ -1047,28 +901,19 @@ impl GatewayLoop {
                         .flatten(),
                     _ => None,
                 };
-                self.answer_client(client, client_gen, pid, &resp);
+                self.answer_client(client, pid, &resp);
                 self.settle_attempt(pid);
                 if let (Some(to), Response::Done { measurement, .. }) = (replicate, resp) {
                     let put = proto::encode_request(&Request::Put { key, measurement });
-                    let rp = self.alloc_pending(Pending::Replicate { outstanding: 0 });
+                    let rp = self.pendings.insert(Pending::Replicate { outstanding: 0 });
                     self.metrics.replicated.inc();
                     self.issue_raw(to, put, rp, Role::Replicate);
                 }
             }
-            Pending::Simple {
-                client,
-                client_gen,
-                done,
-                ..
-            } => {
-                if *done {
-                    self.settle_attempt(pid);
-                    return;
-                }
+            Pending::Simple { client, done, .. } => {
                 *done = true;
-                let (client, client_gen) = (*client, *client_gen);
-                self.answer_client(client, client_gen, pid, &resp);
+                let client = *client;
+                self.answer_client(client, pid, &resp);
                 self.settle_attempt(pid);
             }
             Pending::Fanout { collected, .. } => {
@@ -1076,20 +921,12 @@ impl GatewayLoop {
                 self.finalize_fanout_if_ready(pid);
                 self.settle_attempt(pid);
             }
-            Pending::Replicate { .. } => {
-                self.settle_attempt(pid);
-            }
-            Pending::Admin { done, .. } => {
-                // A leg of an already-finished/aborted op: nothing to
-                // drive, the settle below just releases the slot.
-                let done = *done;
-                if !done {
-                    match role {
-                        Role::Census => self.on_census_response(pid, shard, resp),
-                        Role::Fetch(i) => self.on_fetch_response(pid, i, resp),
-                        Role::Push(i) => self.on_push_response(pid, i, resp),
-                        _ => {}
-                    }
+            Pending::Admin { .. } => {
+                match role {
+                    Role::Census => self.on_census_response(pid, shard, resp),
+                    Role::Fetch(i) => self.on_fetch_response(pid, i, resp),
+                    Role::Push(i) => self.on_push_response(pid, i, resp),
+                    _ => {}
                 }
                 self.settle_attempt(pid);
             }
@@ -1110,112 +947,33 @@ impl GatewayLoop {
     /// untried candidate; the client sees an error only when every
     /// candidate has failed.
     fn attempt_failed(&mut self, pid: usize, shard: u64, role: Role) {
-        let Some(pending) = self.pendings.get_mut(pid).and_then(Option::as_mut) else {
+        let Some(pending) = self.pendings.get_mut(pid) else {
             self.settle_attempt(pid);
             return;
         };
         match pending {
-            Pending::Submit {
-                client,
-                client_gen,
-                primary,
-                replica,
-                tried,
-                outstanding,
-                done,
-                ..
-            } => {
-                if *done || *outstanding > 1 {
-                    // a sibling attempt is still running; let it race on
-                    self.settle_attempt(pid);
-                    return;
-                }
-                let next = [Some(*primary), *replica]
-                    .into_iter()
-                    .flatten()
-                    .find(|c| !tried.contains(c));
-                match next {
-                    Some(next) => {
-                        tried.push(next);
-                        self.metrics.failover.inc();
-                        // issue before settling: the re-issue keeps
-                        // `outstanding` above zero so the slot survives
-                        self.issue(next, pid, Role::Primary);
-                        self.settle_attempt(pid);
-                    }
-                    None => {
-                        *done = true;
-                        let (client, client_gen) = (*client, *client_gen);
-                        self.answer_client(
-                            client,
-                            client_gen,
-                            pid,
-                            &Response::Err(format!("shard {shard} unreachable, no replica left")),
-                        );
-                        self.settle_attempt(pid);
-                    }
-                }
-            }
-            Pending::Simple {
-                client,
-                client_gen,
-                fallback,
-                tried,
-                outstanding,
-                done,
-                ..
-            } => {
-                if *done || *outstanding > 1 {
-                    self.settle_attempt(pid);
-                    return;
-                }
-                let next = fallback.filter(|c| !tried.contains(c));
-                match next {
-                    Some(next) => {
-                        tried.push(next);
-                        self.metrics.failover.inc();
-                        self.issue(next, pid, Role::Primary);
-                        self.settle_attempt(pid);
-                    }
-                    None => {
-                        *done = true;
-                        let (client, client_gen) = (*client, *client_gen);
-                        self.answer_client(
-                            client,
-                            client_gen,
-                            pid,
-                            &Response::Err(format!("shard {shard} unreachable, no replica left")),
-                        );
-                        self.settle_attempt(pid);
-                    }
-                }
-            }
+            Pending::Submit { .. } | Pending::Simple { .. } => self.fail_over(pid, shard),
             Pending::Fanout { collected, .. } => {
                 collected.push((shard, Response::Err(format!("shard {shard} unreachable"))));
                 self.finalize_fanout_if_ready(pid);
                 self.settle_attempt(pid);
             }
-            Pending::Replicate { .. } => {
-                self.settle_attempt(pid);
+            Pending::Replicate { .. } | Pending::Admin { done: true, .. } => {
+                self.settle_attempt(pid)
             }
-            Pending::Admin { done, .. } => {
-                let done = *done;
-                if !done {
-                    match role {
-                        // A census hole means the plan would be blind to
-                        // that shard's keys — abort with the old ring
-                        // intact rather than cut over cold.
-                        Role::Census => self.abort_rebalance(
-                            pid,
-                            format!("census failed: shard {shard} unreachable"),
-                        ),
-                        // A lost transfer leg skips that key: the
-                        // cutover still happens, the key re-warms on
-                        // first miss. Losing warmth beats losing the
-                        // membership change.
-                        Role::Fetch(_) | Role::Push(_) => self.transfer_leg_done(pid, false),
-                        _ => {}
-                    }
+            Pending::Admin { .. } => {
+                match role {
+                    // A census hole means the plan would be blind to
+                    // that shard's keys — abort with the old ring
+                    // intact rather than cut over cold.
+                    Role::Census => self
+                        .abort_rebalance(pid, format!("census failed: shard {shard} unreachable")),
+                    // A lost transfer leg skips that key: the
+                    // cutover still happens, the key re-warms on
+                    // first miss. Losing warmth beats losing the
+                    // membership change.
+                    Role::Fetch(_) | Role::Push(_) => self.transfer_leg_done(pid, false),
+                    _ => {}
                 }
                 self.settle_attempt(pid);
             }
@@ -1227,20 +985,75 @@ impl GatewayLoop {
         }
     }
 
+    /// A routed request's attempt on `shard` failed. Unless a sibling
+    /// attempt is still racing (or the request is already answered),
+    /// re-issue it to the next untried candidate — primary then replica
+    /// for a submit, the replica for a simple query — or, with none
+    /// left, answer the client with an error.
+    fn fail_over(&mut self, pid: usize, shard: u64) {
+        let (client, next) = match self.pendings.get_mut(pid) {
+            Some(Pending::Submit {
+                client,
+                primary,
+                replica,
+                tried,
+                outstanding: 1,
+                done: done @ false,
+                ..
+            }) => {
+                let next = [Some(*primary), *replica]
+                    .into_iter()
+                    .flatten()
+                    .find(|c| !tried.contains(c));
+                tried.extend(next);
+                *done = next.is_none();
+                (*client, next)
+            }
+            Some(Pending::Simple {
+                client,
+                fallback,
+                tried,
+                outstanding: 1,
+                done: done @ false,
+                ..
+            }) => {
+                let next = fallback.filter(|c| !tried.contains(c));
+                tried.extend(next);
+                *done = next.is_none();
+                (*client, next)
+            }
+            // a sibling attempt is still running (or already won): let
+            // it race on
+            _ => return self.settle_attempt(pid),
+        };
+        match next {
+            Some(next) => {
+                self.metrics.failover.inc();
+                // issue before settling: the re-issue keeps
+                // `outstanding` above zero so the slot survives
+                self.issue(next, pid, Role::Primary);
+            }
+            None => self.answer_client(
+                client,
+                pid,
+                &Response::Err(format!("shard {shard} unreachable, no replica left")),
+            ),
+        }
+        self.settle_attempt(pid);
+    }
+
     /// When the last fan-out leg has reported (`outstanding == 1`: the
     /// caller settles after us), merge and answer.
     fn finalize_fanout_if_ready(&mut self, pid: usize) {
-        let (client, client_gen, kind, collected) =
-            match self.pendings.get_mut(pid).and_then(Option::as_mut) {
-                Some(Pending::Fanout {
-                    client,
-                    client_gen,
-                    kind,
-                    collected,
-                    outstanding,
-                }) if *outstanding == 1 => (*client, *client_gen, *kind, std::mem::take(collected)),
-                _ => return,
-            };
+        let (client, kind, collected) = match self.pendings.get_mut(pid) {
+            Some(Pending::Fanout {
+                client,
+                kind,
+                collected,
+                outstanding,
+            }) if *outstanding == 1 => (*client, *kind, std::mem::take(collected)),
+            _ => return,
+        };
         let resp = match kind {
             FanKind::Stats => {
                 let per_shard: Vec<_> = collected
@@ -1264,7 +1077,7 @@ impl GatewayLoop {
             }
             FanKind::Shutdown => Response::ShutdownOk,
         };
-        self.answer_client(client, client_gen, pid, &resp);
+        self.answer_client(client, pid, &resp);
     }
 
     // ---- rebalance state machine ----------------------------------------
@@ -1392,24 +1205,7 @@ impl GatewayLoop {
             skipped: op.skipped,
             ring: self.ring.shard_ids().to_vec(),
         };
-        let (client, client_gen) = match self.pendings.get_mut(pid).and_then(Option::as_mut) {
-            Some(Pending::Admin {
-                client,
-                client_gen,
-                done,
-                ..
-            }) => {
-                *done = true;
-                (*client, *client_gen)
-            }
-            _ => return,
-        };
-        self.answer_client(
-            client,
-            client_gen,
-            pid,
-            &Response::Admin(AdminResponse::Rebalanced(report)),
-        );
+        self.answer_admin(pid, &Response::Admin(AdminResponse::Rebalanced(report)));
     }
 
     /// Abandon the op with the old ring fully intact, undoing the
@@ -1434,35 +1230,30 @@ impl GatewayLoop {
                 self.drained.push(id);
             }
         }
-        let (client, client_gen) = match self.pendings.get_mut(pid).and_then(Option::as_mut) {
-            Some(Pending::Admin {
-                client,
-                client_gen,
-                done,
-                ..
-            }) => {
-                *done = true;
-                (*client, *client_gen)
-            }
-            _ => return,
-        };
-        self.answer_client(client, client_gen, pid, &admin_err(&msg));
+        self.answer_admin(pid, &admin_err(&msg));
+    }
+
+    /// Mark the op's anchoring pending done and answer its client.
+    fn answer_admin(&mut self, pid: usize, resp: &Response) {
+        if let Some(Pending::Admin { client, done, .. }) = self.pendings.get_mut(pid) {
+            *done = true;
+            let client = *client;
+            self.answer_client(client, pid, resp);
+        }
     }
 
     /// When the last fleet-status census leg has reported
     /// (`outstanding == 1`: the caller settles after us), assemble the
     /// typed fleet view.
     fn finalize_fleet_if_ready(&mut self, pid: usize) {
-        let (client, client_gen, collected) =
-            match self.pendings.get_mut(pid).and_then(Option::as_mut) {
-                Some(Pending::Fleet {
-                    client,
-                    client_gen,
-                    collected,
-                    outstanding,
-                }) if *outstanding == 1 => (*client, *client_gen, std::mem::take(collected)),
-                _ => return,
-            };
+        let (client, collected) = match self.pendings.get_mut(pid) {
+            Some(Pending::Fleet {
+                client,
+                collected,
+                outstanding,
+            }) if *outstanding == 1 => (*client, std::mem::take(collected)),
+            _ => return,
+        };
         let mut shards: Vec<ShardInfo> = collected
             .into_iter()
             .map(|(id, keys)| ShardInfo {
@@ -1478,33 +1269,37 @@ impl GatewayLoop {
             version: self.ring_version,
             shards,
         };
-        self.answer_client(
-            client,
-            client_gen,
-            pid,
-            &Response::Admin(AdminResponse::Status(status)),
-        );
+        self.answer_client(client, pid, &Response::Admin(AdminResponse::Status(status)));
     }
 
     /// Per-sweep hedge timer: any submit still unanswered past the
-    /// budget gets one extra attempt on its replica shard.
-    fn hedge_scan(&mut self) {
+    /// budget gets one extra attempt on its replica shard. Returns the
+    /// earliest deadline of a submit that may still be hedged.
+    fn hedge_scan(&mut self) -> Option<Instant> {
         let budget = self.cfg.hedge_after;
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
         let mut to_issue: Vec<(u64, usize)> = Vec::new();
-        for pid in 0..self.pendings.len() {
+        for pid in 0..self.pendings.slots() {
             if let Some(Pending::Submit {
                 replica: Some(replica),
                 tried,
                 started,
-                hedged,
-                done,
+                hedged: hedged @ false,
+                done: false,
                 ..
-            }) = self.pendings[pid].as_mut()
+            }) = self.pendings.get_mut(pid)
             {
-                if !*done && !*hedged && !tried.contains(replica) && started.elapsed() >= budget {
+                if tried.contains(replica) {
+                    continue;
+                }
+                let due = *started + budget;
+                if due <= now {
                     *hedged = true;
                     tried.push(*replica);
                     to_issue.push((*replica, pid));
+                } else {
+                    next = Some(next.map_or(due, |n| n.min(due)));
                 }
             }
         }
@@ -1512,13 +1307,8 @@ impl GatewayLoop {
             self.metrics.hedged.inc();
             self.issue(replica, pid, Role::Hedge);
         }
+        next
     }
-}
-
-enum ConnOutcome {
-    Keep,
-    Close,
-    Shutdown,
 }
 
 enum UpOutcome {

@@ -28,6 +28,8 @@
 //!
 //! [`ServeStats`]: epic_serve::proto::ServeStats
 
+#![forbid(unsafe_code)]
+
 pub mod gateway;
 pub mod merge;
 pub mod rebalance;

@@ -12,7 +12,7 @@ use epic_serve::{serve_with, ArtifactStore, Client, JobSpec, Priority, Scheduler
 use epic_serve::{ServerConfig, ServerHandle};
 use epic_trace::MetricValue;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn instant_shard(shard_id: u64) -> ServerHandle {
     let store = Arc::new(ArtifactStore::in_memory());
@@ -55,7 +55,6 @@ fn a_single_shard_fleet_never_hedges_or_replicates() {
     // hedge a 1-shard ring, this would force it to
     let cfg = GatewayConfig {
         hedge_after: Duration::from_millis(1),
-        poll_park: Duration::from_millis(1),
         ..GatewayConfig::default()
     };
     let mut gw = gate("127.0.0.1:0", &shards, cfg).unwrap();
@@ -113,4 +112,56 @@ fn a_single_shard_fleet_never_hedges_or_replicates() {
     let mut s8 = s8;
     s8.wait();
     gw.wait();
+}
+
+#[test]
+fn warm_hits_through_the_gateway_wait_on_readiness_not_a_park_timer() {
+    // Both loops must wake on socket readiness: with a park timer in
+    // either, every hit pays milliseconds and 200 hits take seconds.
+    let s = instant_shard(3);
+    let gw = gate(
+        "127.0.0.1:0",
+        &[(3, s.addr().to_string())],
+        GatewayConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(&gw.addr().to_string()).unwrap();
+    let spec = matrix_specs().swap_remove(0);
+    assert!(!client.submit(&spec, Priority::Normal, 0).unwrap().cache_hit);
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        assert!(client.submit(&spec, Priority::Normal, 0).unwrap().cache_hit);
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "200 warm hits through the gateway took {took:?}"
+    );
+    // the gateway's blocked time surfaces in the merged metrics view
+    match client
+        .metrics()
+        .unwrap()
+        .get("gateway.cluster.poll.wait_us")
+    {
+        Some(MetricValue::Histogram(h)) => assert!(h.count > 0),
+        other => panic!("gateway.cluster.poll.wait_us missing: {other:?}"),
+    }
+}
+
+#[test]
+fn stopping_an_idle_gateway_is_prompt() {
+    // With no timer pending the gateway's wait has no timeout; only the
+    // waker can end it.
+    let s = instant_shard(4);
+    let mut gw = gate(
+        "127.0.0.1:0",
+        &[(4, s.addr().to_string())],
+        GatewayConfig::default(),
+    )
+    .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    gw.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "stop took {took:?}");
 }

@@ -18,6 +18,8 @@
 //! [`ilp_transform`] sequences these into the ILP-NS / ILP-CS pipelines;
 //! every step is differential-tested against the reference interpreter.
 
+#![forbid(unsafe_code)]
+
 pub mod dataspec;
 pub mod height;
 pub mod ifconv;

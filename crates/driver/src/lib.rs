@@ -14,6 +14,8 @@
 //! [`MeasureRequest`] additionally runs the simulator on the reference
 //! input — it is the one measurement entry point.
 
+#![forbid(unsafe_code)]
+
 use epic_core::IlpOptions;
 use epic_ir::Program;
 use epic_mach::MachProgram;

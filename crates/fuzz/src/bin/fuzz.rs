@@ -10,6 +10,8 @@
 //! (after printing a minimized, paste-ready regression snippet per
 //! failure), 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use epic_fuzz::oracle::OptLevel;
 use epic_fuzz::{corpus, run_fuzz, FuzzConfig};
 

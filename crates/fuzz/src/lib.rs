@@ -22,6 +22,8 @@
 //! Everything is deterministic: one `--seed` fixes the whole run (the
 //! optional wall-clock budget can truncate it, never reorder it).
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod framefuzz;
 pub mod mutate;

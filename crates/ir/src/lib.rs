@@ -34,6 +34,8 @@
 //! assert_eq!(r.output, vec![42]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod builder;
 pub mod dom;

@@ -36,6 +36,8 @@
 //! assert_eq!(r.output, vec![45]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod lower;

@@ -13,6 +13,8 @@
 //! call allocates a fresh window (IA-64 register stack); spill beyond the
 //! physical capacity is charged by the simulator's RSE model.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod program;
 pub mod template;

@@ -16,6 +16,8 @@
 //! The structural EPIC transformations (superblocks, hyperblocks, peeling,
 //! speculation) live in `epic-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod classical;
 pub mod inline;

@@ -16,6 +16,8 @@
 //! | [`schedule::SchedOptions::ilp_ns`] | alias tags   | yes | no  |
 //! | [`schedule::SchedOptions::ilp_cs`] | alias tags   | yes | yes (`ld.s`) |
 
+#![forbid(unsafe_code)]
+
 pub mod emit;
 pub mod layout;
 pub mod regalloc;

@@ -11,6 +11,8 @@
 //! event-loop thread (plus the scheduler's workers); `--max-conns` and
 //! `--idle-timeout-ms` tune admission control.
 
+#![forbid(unsafe_code)]
+
 use epic_serve::{serve_with, ArtifactStore, Scheduler, ServerConfig};
 use std::sync::Arc;
 

@@ -33,8 +33,11 @@
 //!   completion hooks ([`sched::Ticket::on_complete`]) let one loop
 //!   thread multiplex thousands of in-flight submits, and admission
 //!   control (max-connections cap, idle-timeout reaping) keeps the
-//!   house bounded. [`client::Swarm`] is the loop's mirror image — a
-//!   single-threaded multiplexing client for saturation tests.
+//!   house bounded. Between sweeps the loop blocks in [`netloop`]'s
+//!   readiness wait — the one `poll(2)` call, and the workspace's only
+//!   `unsafe` — which `epicg`'s gateway loop shares. [`client::Swarm`]
+//!   is the loop's mirror image — a single-threaded multiplexing client
+//!   for saturation tests.
 //!
 //! The scheduler, runner, and event loop publish counters and latency
 //! histograms (`serve.*`) into the process-wide `epic-trace` registry;
@@ -43,9 +46,12 @@
 //! See DESIGN.md §8 for the architecture rationale, §9 for the tracing
 //! layer, and §11 for the event-driven serving design.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod codec;
 pub mod key;
+pub mod netloop;
 pub mod proto;
 pub mod sched;
 pub mod server;

@@ -2,45 +2,43 @@
 //! nonblocking sockets.
 //!
 //! There are no per-connection OS threads. One loop thread owns the
-//! listener and every connection, and multiplexes them with a
-//! hand-rolled readiness sweep (std has no `poll(2)`, so readiness is
-//! discovered by attempting nonblocking I/O):
+//! listener and every connection, sweeps them with nonblocking I/O, and
+//! between sweeps blocks in the shared readiness wait
+//! ([`netloop::Poller`]) until a socket is ready, the earliest idle-reap
+//! deadline passes, or the waker fires:
 //!
 //! * **Connections** are [`Conn`] state machines — reading-length →
 //!   reading-body → dispatching → writing — driven by an incremental
 //!   [`FrameDecoder`](proto::FrameDecoder) whose buffers (and the
 //!   connection's write buffer) are reused across frames: steady-state
 //!   framing allocates nothing, and responses go out as one vectored
-//!   write of header + body.
+//!   write of header + body. A reading connection is waited on for
+//!   input, a writing one for output space.
 //! * **Submits never block the loop.** A pending job parks the
 //!   *connection* (state `AwaitJob`), not a thread: a completion hook
 //!   ([`Ticket::on_complete`](crate::sched::Ticket::on_complete))
-//!   enqueues the result and wakes the loop, which writes the response.
+//!   enqueues the result and wakes the loop through its
+//!   [`Waker`](netloop::Waker), which writes the response.
 //!   Thousands of in-flight submits cost one loop thread.
-//! * **Wakeup token** — a loopback `TcpStream` pair (the std-only
-//!   self-pipe): when the loop has nothing to do it parks in a blocking
-//!   read (with a short timeout as the readiness-poll backstop) on the
-//!   receive end; job completions and [`ServerHandle::stop`] write one
-//!   byte to the send end to wake it immediately.
 //! * **Admission control** — a max-connections cap (over-cap peers get a
 //!   typed error frame and a close) and a per-connection idle timeout
 //!   (quiet connections are reaped). `serve.conns` (gauge),
 //!   `serve.conns.rejected` / `serve.conns.reaped` (counters),
-//!   `serve.poll.wait_us` / `serve.frame.bytes` / `serve.submit.e2e_us`
-//!   (histograms) land in the process-wide registry for `epicc top`.
+//!   `serve.poll.wait_us` (time blocked in the readiness wait) /
+//!   `serve.frame.bytes` / `serve.submit.e2e_us` (histograms) land in
+//!   the process-wide registry for `epicc top`.
 //!
 //! A malformed frame (hostile length, truncated body, transport error)
 //! closes — and a garbage verb merely errors — *that* connection; every
 //! other connection keeps being served.
 
 use crate::key::JobSpec;
+use crate::netloop::{self, Interest, Key, OutFrame, Outcome, Poller, Slab, Waker};
 use crate::proto::{self, FrameError, FrameEvent, Request, Response, ServeStats};
 use crate::sched::{JobError, Priority, Scheduler, SubmitError};
 use epic_driver::Measurement;
 use epic_trace::{Counter, Gauge, Histogram};
-use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,44 +66,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Longest the loop parks between readiness sweeps when nothing is
-/// happening (the wake socket's read timeout); wakeups cut a park short.
-const PARK: Duration = Duration::from_millis(5);
-
-/// The std-only self-pipe: completions (from worker threads) and
-/// [`ServerHandle::stop`] wake the parked loop by writing one byte to a
-/// loopback socket. `armed` keeps at most one byte in flight.
-struct Waker {
-    tx: Mutex<TcpStream>,
-    armed: AtomicBool,
-}
-
-impl Waker {
-    fn wake(&self) {
-        if !self.armed.swap(true, Ordering::SeqCst) {
-            let _ = self.tx.lock().expect("waker").write(&[1u8]);
-        }
-    }
-}
-
-/// Loopback socket pair (receive end, send end) — std has no
-/// `pipe(2)`, so the wakeup token is a TCP connection to ourselves.
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    tx.set_nodelay(true)?;
-    let (rx, _) = listener.accept()?;
-    rx.set_read_timeout(Some(PARK))?;
-    rx.set_nonblocking(true)?;
-    Ok((rx, tx))
-}
-
 /// A finished (or failed) submit waiting for the loop to write its
-/// response. `gen` guards against the slot having been recycled while
-/// the job ran.
+/// response. The slab key guards against the slot having been recycled
+/// while the job ran.
 struct Completion {
-    slot: usize,
-    gen: u64,
+    conn: Key,
     key: crate::key::CacheKey,
     cache_hit: bool,
     coalesced: bool,
@@ -127,32 +92,24 @@ struct Conn {
     stream: TcpStream,
     decoder: proto::FrameDecoder,
     state: ConnState,
-    /// Response frame header (big-endian body length).
-    header: [u8; 4],
-    /// Response body; reused across frames (capacity retained).
-    out: Vec<u8>,
-    /// Bytes of header+body already written.
-    out_sent: usize,
+    /// Response frame; its body buffer is reused across frames.
+    out: OutFrame,
     /// Submit dispatch time, for the end-to-end latency histogram.
     submit_started: Option<Instant>,
     last_activity: Instant,
-    gen: u64,
     close_after_write: bool,
     shutdown_after_write: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, gen: u64) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             decoder: proto::FrameDecoder::new(),
             state: ConnState::Reading,
-            header: [0; 4],
-            out: Vec::new(),
-            out_sent: 0,
+            out: OutFrame::default(),
             submit_started: None,
             last_activity: Instant::now(),
-            gen,
             close_after_write: false,
             shutdown_after_write: false,
         }
@@ -160,34 +117,8 @@ impl Conn {
 
     /// Stage `resp` as the next outgoing frame and enter `Writing`.
     fn stage_response(&mut self, resp: &Response) {
-        proto::encode_response_into(resp, &mut self.out);
-        self.header = (self.out.len() as u32).to_be_bytes();
-        self.out_sent = 0;
+        self.out.stage(resp);
         self.state = ConnState::Writing;
-    }
-
-    /// Push staged bytes out as far as the socket allows (vectored
-    /// header+body). Returns `Ok(true)` when the frame is fully flushed.
-    fn write_progress(&mut self) -> std::io::Result<bool> {
-        let total = 4 + self.out.len();
-        while self.out_sent < total {
-            let hdr = &self.header[self.out_sent.min(4)..];
-            let body = &self.out[self.out_sent.saturating_sub(4)..];
-            let bufs = [IoSlice::new(hdr), IoSlice::new(body)];
-            match self.stream.write_vectored(&bufs) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped accepting bytes mid-frame",
-                    ))
-                }
-                Ok(n) => self.out_sent += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
     }
 }
 
@@ -199,7 +130,6 @@ struct LoopMetrics {
     frame_errors: Counter,
     bad_requests: Counter,
     replicated: Counter,
-    poll_wait_us: Histogram,
     frame_bytes: Histogram,
     submit_e2e_us: Histogram,
 }
@@ -214,7 +144,6 @@ impl LoopMetrics {
             frame_errors: g.counter("serve.frame.errors"),
             bad_requests: g.counter("serve.requests.bad"),
             replicated: g.counter("serve.replicated"),
-            poll_wait_us: g.histogram("serve.poll.wait_us"),
             frame_bytes: g.histogram("serve.frame.bytes"),
             submit_e2e_us: g.histogram("serve.submit.e2e_us"),
         }
@@ -225,7 +154,6 @@ impl LoopMetrics {
 /// shuts the service down and joins the loop thread.
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
     waker: Arc<Waker>,
     loop_thread: Option<std::thread::JoinHandle<()>>,
     sched: Arc<Scheduler>,
@@ -245,24 +173,13 @@ impl ServerHandle {
 
     /// Aggregate statistics (same data the `stats` verb serves).
     pub fn stats(&self) -> ServeStats {
-        let (compiles, sims) = self.sched.work_counts();
-        ServeStats {
-            store: self.sched.store().stats(),
-            sched: self.sched.stats(),
-            compiles,
-            sims,
-            shard_id: self.shard_id,
-        }
+        serve_stats(&self.sched, self.shard_id)
     }
 
     /// Stop the loop, close every connection, drain the scheduler.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(h) = self.loop_thread.take() {
-            let _ = h.join();
-        }
-        self.sched.shutdown();
+        self.waker.stop();
+        self.wait();
     }
 
     /// Block until the loop exits (a client sent `Shutdown`).
@@ -277,6 +194,18 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// What the `stats` verb reports for `sched` serving as `shard_id`.
+fn serve_stats(sched: &Scheduler, shard_id: u64) -> ServeStats {
+    let (compiles, sims) = sched.work_counts();
+    ServeStats {
+        store: sched.store().stats(),
+        sched: sched.stats(),
+        compiles,
+        sims,
+        shard_id,
     }
 }
 
@@ -301,132 +230,85 @@ pub fn serve_with(
     let listener = TcpListener::bind(listen_addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let (wake_rx, wake_tx) = wake_pair()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let waker = Arc::new(Waker {
-        tx: Mutex::new(wake_tx),
-        armed: AtomicBool::new(false),
-    });
-    let mut el = EventLoop {
+    let waker = Arc::new(Waker::new()?);
+    let poll_wait_us = epic_trace::global().histogram("serve.poll.wait_us");
+    let el = EventLoop {
         listener,
         sched: Arc::clone(&sched),
-        stop: Arc::clone(&stop),
+        poller: Poller::new(Arc::clone(&waker), poll_wait_us),
         waker: Arc::clone(&waker),
-        wake_rx,
         completions: Arc::new(Mutex::new(Vec::new())),
         cfg,
         metrics: LoopMetrics::new(),
-        conns: Vec::new(),
-        free: Vec::new(),
-        live: 0,
-        next_gen: 0,
+        conns: Slab::default(),
     };
-    let shard_id = cfg.shard_id;
     let loop_thread = std::thread::Builder::new()
         .name("epicd-loop".to_string())
         .spawn(move || el.run())
         .expect("spawn event loop");
     Ok(ServerHandle {
         addr,
-        stop,
         waker,
         loop_thread: Some(loop_thread),
         sched,
-        shard_id,
+        shard_id: cfg.shard_id,
     })
-}
-
-/// What pumping one connection concluded.
-enum ConnOutcome {
-    Keep,
-    Close,
-    /// `ShutdownOk` flushed: stop the whole server.
-    Shutdown,
 }
 
 struct EventLoop {
     listener: TcpListener,
     sched: Arc<Scheduler>,
-    stop: Arc<AtomicBool>,
+    poller: Poller,
     waker: Arc<Waker>,
-    wake_rx: TcpStream,
     completions: Arc<Mutex<Vec<Completion>>>,
     cfg: ServerConfig,
     metrics: LoopMetrics,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    live: usize,
-    next_gen: u64,
+    conns: Slab<Conn>,
 }
 
 impl EventLoop {
-    fn run(&mut self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            let mut progress = false;
-            progress |= self.drain_wake();
-            progress |= self.drain_completions();
-            progress |= self.accept_new();
-            match self.pump_all() {
-                (p, false) => progress |= p,
-                (_, true) => break, // shutdown verb flushed
+    /// Serve until stopped; every connection closes as the loop drops.
+    fn run(mut self) {
+        while !self.waker.stopped() {
+            self.drain_completions();
+            self.accept_new();
+            if self.pump_all() {
+                break; // shutdown verb flushed
             }
-            self.reap_idle();
-            if !progress {
-                self.park();
-            }
+            let reap_at = self.reap_idle();
+            self.wait(reap_at);
         }
-        // close every connection and report an empty house
-        self.conns.clear();
         self.metrics.conns.set(0);
     }
 
-    /// Consume pending wake bytes so the next park blocks.
-    fn drain_wake(&mut self) -> bool {
-        self.waker.armed.store(false, Ordering::SeqCst);
-        let mut buf = [0u8; 64];
-        let mut woke = false;
-        loop {
-            match self.wake_rx.read(&mut buf) {
-                Ok(0) => break, // peer half gone; parks will time out
-                Ok(_) => woke = true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break, // WouldBlock: drained
+    /// Block until a connection can make progress, a completion wakes
+    /// the loop, a new peer knocks, or `deadline` (the next idle reap)
+    /// passes. `AwaitJob` connections are not watched: their completion
+    /// arrives through the waker.
+    fn wait(&mut self, deadline: Option<Instant>) {
+        let p = &mut self.poller;
+        p.register(&self.listener, Interest::Read);
+        for (_, c) in self.conns.iter() {
+            match c.state {
+                ConnState::Reading => p.register(&c.stream, Interest::Read),
+                ConnState::Writing => p.register(&c.stream, Interest::Write),
+                ConnState::AwaitJob => {}
             }
         }
-        woke
+        p.wait(deadline);
     }
 
-    /// Park until woken or [`PARK`] elapses; the park duration
-    /// is the `serve.poll.wait_us` histogram.
-    fn park(&mut self) {
-        let t0 = Instant::now();
-        if self.wake_rx.set_nonblocking(false).is_ok() {
-            let mut buf = [0u8; 8];
-            match self.wake_rx.read(&mut buf) {
-                Ok(n) if n > 0 => self.waker.armed.store(false, Ordering::SeqCst),
-                _ => {} // timeout (WouldBlock/TimedOut), EOF, or error
-            }
-            let _ = self.wake_rx.set_nonblocking(true);
-        } else {
-            std::thread::sleep(PARK);
-        }
-        self.metrics
-            .poll_wait_us
-            .record(t0.elapsed().as_micros() as u64);
-    }
-
-    fn drain_completions(&mut self) -> bool {
+    fn drain_completions(&mut self) {
         let done: Vec<Completion> = {
             let mut q = self.completions.lock().expect("completion queue");
             std::mem::take(&mut *q)
         };
-        let mut progress = false;
         for c in done {
-            let Some(conn) = self.conns.get_mut(c.slot).and_then(Option::as_mut) else {
-                continue; // connection died while the job ran
+            let Some(conn) = self.conns.get_by_key(c.conn) else {
+                continue; // connection died (and maybe its slot was reused)
             };
-            if conn.gen != c.gen || !matches!(conn.state, ConnState::AwaitJob) {
-                continue; // slot recycled
+            if !matches!(conn.state, ConnState::AwaitJob) {
+                continue;
             }
             let resp = match c.result {
                 Ok(m) => Response::Done {
@@ -440,96 +322,54 @@ impl EventLoop {
             };
             conn.stage_response(&resp);
             conn.last_activity = Instant::now();
-            progress = true;
         }
-        progress
     }
 
-    fn accept_new(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    if self.live >= self.cfg.max_conns {
-                        self.reject(stream);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.next_gen += 1;
-                    let conn = Conn::new(stream, self.next_gen);
-                    match self.free.pop() {
-                        Some(slot) => self.conns[slot] = Some(conn),
-                        None => self.conns.push(Some(conn)),
-                    }
-                    self.live += 1;
-                    self.metrics.conns.set(self.live as i64);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+    fn accept_new(&mut self) {
+        while let Some(stream) = netloop::accept(&self.listener) {
+            if self.conns.live() >= self.cfg.max_conns {
+                self.metrics.conns_rejected.inc();
+                netloop::reject(stream, "server at capacity");
+                continue;
             }
+            self.conns.insert(Conn::new(stream));
+            self.metrics.conns.set(self.conns.live() as i64);
         }
-        progress
     }
 
-    /// Over-cap admission: best-effort typed error frame, then close.
-    /// The frame is a few dozen bytes — it fits any send buffer, so a
-    /// single nonblocking vectored write delivers it in practice.
-    fn reject(&mut self, stream: TcpStream) {
-        self.metrics.conns_rejected.inc();
-        let _ = stream.set_nonblocking(true);
-        let mut body = Vec::new();
-        proto::encode_response_into(&Response::Err("server at capacity".to_string()), &mut body);
-        let header = (body.len() as u32).to_be_bytes();
-        let _ = (&stream).write_vectored(&[IoSlice::new(&header), IoSlice::new(&body)]);
-    }
-
-    /// Drive every connection's state machine. Returns
-    /// `(progress, shutdown_requested)`.
-    fn pump_all(&mut self) -> (bool, bool) {
-        let mut progress = false;
-        for slot in 0..self.conns.len() {
-            let Some(mut conn) = self.conns[slot].take() else {
+    /// Drive every connection's state machine. Returns whether a
+    /// shutdown was requested.
+    fn pump_all(&mut self) -> bool {
+        for slot in 0..self.conns.slots() {
+            let Some(mut conn) = self.conns.check_out(slot) else {
                 continue;
             };
-            let before = (conn.out_sent, conn.decoder.mid_frame());
             match self.pump_conn(slot, &mut conn) {
-                ConnOutcome::Keep => {
-                    progress |= (conn.out_sent, conn.decoder.mid_frame()) != before;
-                    self.conns[slot] = Some(conn);
-                }
-                ConnOutcome::Close => {
-                    progress = true;
+                Outcome::Keep => self.conns.check_in(slot, conn),
+                outcome => {
                     drop(conn);
                     self.release_slot(slot);
-                }
-                ConnOutcome::Shutdown => {
-                    drop(conn);
-                    self.release_slot(slot);
-                    return (true, true);
+                    if matches!(outcome, Outcome::Shutdown) {
+                        return true;
+                    }
                 }
             }
         }
-        (progress, false)
+        false
     }
 
     fn release_slot(&mut self, slot: usize) {
-        self.free.push(slot);
-        self.live -= 1;
-        self.metrics.conns.set(self.live as i64);
+        self.conns.release(slot);
+        self.metrics.conns.set(self.conns.live() as i64);
     }
 
     /// Advance one connection as far as it will go without blocking.
     /// Bounded to a handful of request/response cycles per sweep so one
     /// chatty peer cannot starve the rest.
-    fn pump_conn(&mut self, slot: usize, conn: &mut Conn) -> ConnOutcome {
+    fn pump_conn(&mut self, slot: usize, conn: &mut Conn) -> Outcome {
         for _ in 0..4 {
             match conn.state {
-                ConnState::AwaitJob => return ConnOutcome::Keep,
+                ConnState::AwaitJob => return Outcome::Keep,
                 ConnState::Reading => match conn.decoder.read_from(&mut conn.stream) {
                     Ok(FrameEvent::Frame) => {
                         conn.last_activity = Instant::now();
@@ -539,8 +379,8 @@ impl EventLoop {
                         self.dispatch(slot, conn);
                         conn.decoder.next_frame();
                     }
-                    Ok(FrameEvent::Blocked) => return ConnOutcome::Keep,
-                    Ok(FrameEvent::Closed) => return ConnOutcome::Close,
+                    Ok(FrameEvent::Blocked) => return Outcome::Keep,
+                    Ok(FrameEvent::Closed) => return Outcome::Close,
                     Err(FrameError::TooLarge { len }) => {
                         // typed refusal, then hang up — only this conn
                         self.metrics.frame_errors.inc();
@@ -553,35 +393,32 @@ impl EventLoop {
                         // truncated frame or transport error: the peer is
                         // gone or garbled; close without a response
                         self.metrics.frame_errors.inc();
-                        return ConnOutcome::Close;
+                        return Outcome::Close;
                     }
                 },
-                ConnState::Writing => match conn.write_progress() {
+                ConnState::Writing => match conn.out.write_to(&mut conn.stream) {
                     Ok(true) => {
                         conn.last_activity = Instant::now();
-                        self.metrics.frame_bytes.record(conn.out.len() as u64);
+                        self.metrics.frame_bytes.record(conn.out.body_len() as u64);
                         if let Some(t0) = conn.submit_started.take() {
                             self.metrics
                                 .submit_e2e_us
                                 .record(t0.elapsed().as_micros() as u64);
                         }
                         if conn.shutdown_after_write {
-                            self.stop.store(true, Ordering::SeqCst);
-                            return ConnOutcome::Shutdown;
+                            return Outcome::Shutdown;
                         }
                         if conn.close_after_write {
-                            return ConnOutcome::Close;
+                            return Outcome::Close;
                         }
-                        conn.out.clear();
-                        conn.out_sent = 0;
                         conn.state = ConnState::Reading;
                     }
-                    Ok(false) => return ConnOutcome::Keep,
-                    Err(_) => return ConnOutcome::Close,
+                    Ok(false) => return Outcome::Keep,
+                    Err(_) => return Outcome::Close,
                 },
             }
         }
-        ConnOutcome::Keep
+        Outcome::Keep
     }
 
     /// Execute one decoded frame. Immediate verbs stage their response
@@ -611,16 +448,10 @@ impl EventLoop {
                     .lookup(key)
                     .map(|m| Box::new((*m).clone())),
             )),
-            Request::Stats => {
-                let (compiles, sims) = self.sched.work_counts();
-                conn.stage_response(&Response::Stats(ServeStats {
-                    store: self.sched.store().stats(),
-                    sched: self.sched.stats(),
-                    compiles,
-                    sims,
-                    shard_id: self.cfg.shard_id,
-                }));
-            }
+            Request::Stats => conn.stage_response(&Response::Stats(serve_stats(
+                &self.sched,
+                self.cfg.shard_id,
+            ))),
             Request::Metrics => {
                 conn.stage_response(&Response::Metrics(epic_trace::global().snapshot()));
             }
@@ -669,14 +500,13 @@ impl EventLoop {
                 conn.state = ConnState::AwaitJob;
                 let completions = Arc::clone(&self.completions);
                 let waker = Arc::clone(&self.waker);
-                let gen = conn.gen;
+                let conn_key = self.conns.key(slot);
                 ticket.on_complete(move |result| {
                     completions
                         .lock()
                         .expect("completion queue")
                         .push(Completion {
-                            slot,
-                            gen,
+                            conn: conn_key,
                             key,
                             cache_hit,
                             coalesced,
@@ -694,25 +524,29 @@ impl EventLoop {
         }
     }
 
-    /// Close connections that have been quiet past the idle timeout.
-    /// Connections awaiting a job are never idle — a long compile is
-    /// work, not silence.
-    fn reap_idle(&mut self) {
+    /// Close connections that have been quiet past the idle timeout, and
+    /// return when the next one will be. Connections awaiting a job are
+    /// never idle — a long compile is work, not silence.
+    fn reap_idle(&mut self) -> Option<Instant> {
         let timeout = self.cfg.idle_timeout;
         let now = Instant::now();
-        for slot in 0..self.conns.len() {
-            let reap = match &self.conns[slot] {
-                Some(c) => {
-                    !matches!(c.state, ConnState::AwaitJob)
-                        && now.duration_since(c.last_activity) > timeout
-                }
-                None => false,
+        let mut next: Option<Instant> = None;
+        for slot in 0..self.conns.slots() {
+            let Some(c) = self.conns.get_mut(slot) else {
+                continue;
             };
-            if reap {
-                self.conns[slot] = None;
-                self.release_slot(slot);
+            if matches!(c.state, ConnState::AwaitJob) {
+                continue;
+            }
+            if now.duration_since(c.last_activity) > timeout {
+                self.conns.remove(slot);
+                self.metrics.conns.set(self.conns.live() as i64);
                 self.metrics.conns_reaped.inc();
+            } else {
+                let due = c.last_activity + timeout;
+                next = Some(next.map_or(due, |n| n.min(due)));
             }
         }
+        next
     }
 }

@@ -4,14 +4,11 @@
 //! workspace has no dev-only crates).
 
 use crate::key::JobSpec;
-use crate::proto::{self, Request, Response, ServeStats};
-use crate::sched::{JobError, JobRunner, Priority, Scheduler};
+use crate::sched::{JobRunner, Scheduler};
 use crate::store::ArtifactStore;
 use epic_driver::{CompiledStats, Measurement, OptLevel, PassRecord, PassTimeline};
 use epic_sim::{Category, CycleAccounting, FuncMatrix, SimResult, CATEGORIES};
-use std::io::{BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,8 +70,8 @@ pub fn dummy_measurement(seed: u64) -> Measurement {
 }
 
 /// A runner that "measures" instantly: [`dummy_measurement`] keyed off
-/// the spec's source length. Saturation benchmarks use it so the A/B
-/// comparison exercises the serving layer, not the simulator.
+/// the spec's source length. Saturation benchmarks use it so the measurement
+/// exercises the serving layer, not the simulator.
 #[derive(Default)]
 pub struct InstantRunner {
     runs: AtomicU64,
@@ -144,154 +141,4 @@ pub fn gated_scheduler(
         queue_cap,
     );
     (Arc::new(sched), tx)
-}
-
-/// The pre-refactor server, kept **only** as the saturation benchmark's
-/// comparator: one blocking OS thread per connection, submits holding
-/// their thread in `Ticket::wait`. Production serving is the event loop
-/// in [`crate::server`]; nothing but `epicc saturate --bench` should
-/// start one of these.
-pub struct BaselineServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    sched: Arc<Scheduler>,
-}
-
-impl BaselineServer {
-    /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// The scheduler behind the server.
-    pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.sched
-    }
-
-    /// Stop accepting and drain the scheduler. Live connection threads
-    /// exit when their clients hang up.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        self.sched.shutdown();
-    }
-}
-
-impl Drop for BaselineServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Start a thread-per-connection baseline server (bench comparator —
-/// see [`BaselineServer`]).
-///
-/// # Errors
-/// Bind failures.
-pub fn serve_baseline(listen_addr: &str, sched: Arc<Scheduler>) -> std::io::Result<BaselineServer> {
-    let listener = TcpListener::bind(listen_addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let stop = Arc::clone(&stop);
-        let sched = Arc::clone(&sched);
-        std::thread::Builder::new()
-            .name("baseline-accept".to_string())
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let sched = Arc::clone(&sched);
-                            let stop = Arc::clone(&stop);
-                            let _ = std::thread::Builder::new()
-                                .name("baseline-conn".to_string())
-                                .spawn(move || baseline_connection(stream, &sched, &stop));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn baseline accept loop")
-    };
-    Ok(BaselineServer {
-        addr,
-        stop,
-        accept_thread: Some(accept_thread),
-        sched,
-    })
-}
-
-fn baseline_connection(stream: TcpStream, sched: &Arc<Scheduler>, stop: &Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    let Ok(peer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer);
-    let mut writer = BufWriter::new(stream);
-    while let Ok(Some(body)) = proto::read_frame(&mut reader) {
-        let resp = match proto::decode_request(&body) {
-            Ok(Request::Submit {
-                spec,
-                prio,
-                deadline_ms,
-            }) => baseline_submit(sched, spec, prio, deadline_ms),
-            Ok(Request::Stats) => {
-                let (compiles, sims) = sched.work_counts();
-                Response::Stats(ServeStats {
-                    store: sched.store().stats(),
-                    sched: sched.stats(),
-                    compiles,
-                    sims,
-                    shard_id: 0,
-                })
-            }
-            Ok(Request::Shutdown) => {
-                stop.store(true, Ordering::SeqCst);
-                Response::ShutdownOk
-            }
-            Ok(_) => Response::Err("baseline server: submit/stats/shutdown only".to_string()),
-            Err(e) => Response::Err(format!("bad request: {e}")),
-        };
-        if proto::write_frame(&mut writer, &proto::encode_response(&resp)).is_err() {
-            break;
-        }
-        if matches!(resp, Response::ShutdownOk) {
-            break;
-        }
-    }
-}
-
-fn baseline_submit(
-    sched: &Arc<Scheduler>,
-    spec: JobSpec,
-    prio: Priority,
-    deadline_ms: u64,
-) -> Response {
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    match sched.submit(spec, prio, deadline) {
-        Ok(ticket) => {
-            let (key, cache_hit, coalesced) = (ticket.key, ticket.cache_hit, ticket.coalesced);
-            match ticket.wait() {
-                Ok(m) => Response::Done {
-                    key,
-                    cache_hit,
-                    coalesced,
-                    measurement: Box::new((*m).clone()),
-                },
-                Err(JobError::Expired) => Response::Err("deadline expired".to_string()),
-                Err(e) => Response::Err(e.to_string()),
-            }
-        }
-        Err(crate::sched::SubmitError::Busy { queue_depth }) => Response::Busy { queue_depth },
-        Err(crate::sched::SubmitError::Shutdown) => {
-            Response::Err("server shutting down".to_string())
-        }
-    }
 }

@@ -616,6 +616,33 @@ fn idle_connections_are_reaped_but_inflight_submits_are_not() {
 }
 
 #[test]
+fn warm_hits_are_answered_on_socket_readiness_not_a_park_timer() {
+    // An idle loop must wake on the client's bytes. A loop that only
+    // notices requests when a park timer expires pays milliseconds per
+    // hit, so 200 sequential round trips would take seconds.
+    let sched = Arc::new(Scheduler::with_runner(
+        Arc::new(ArtifactStore::in_memory()),
+        Box::new(InstantRunner::default()),
+        1,
+        8,
+    ));
+    let mut server = serve("127.0.0.1:0", sched).unwrap();
+    let mut client = Client::connect(&server.addr().to_string()).unwrap();
+    let spec = spec_named("warm");
+    assert!(!client.submit(&spec, Priority::Normal, 0).unwrap().cache_hit);
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        assert!(client.submit(&spec, Priority::Normal, 0).unwrap().cache_hit);
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "200 warm hits took {took:?}"
+    );
+    server.stop();
+}
+
+#[test]
 fn traced_scheduler_records_serve_span_trees() {
     let (tx, rx) = mpsc::channel::<()>();
     for _ in 0..4 {

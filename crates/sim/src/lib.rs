@@ -22,6 +22,8 @@
 //! hazard model, and both general and sentinel control-speculation
 //! recovery models (paper Fig. 9).
 
+#![forbid(unsafe_code)]
+
 pub mod attrib;
 pub mod caches;
 pub mod counters;

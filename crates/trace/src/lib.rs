@@ -18,6 +18,8 @@
 //! duration either way), and detached metric handles are single-branch
 //! no-ops.
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 mod render;
 mod span;

@@ -25,6 +25,8 @@
 //! parameterizations (profile feedback uses train, measurement uses ref —
 //! and Sec. 4.6's profile-variation experiment swaps them).
 
+#![forbid(unsafe_code)]
+
 mod suite_a;
 mod suite_b;
 mod suite_c;

@@ -128,10 +128,10 @@ cmp "$smoke_dir/untraced_cells.txt" "$smoke_dir/traced_cells.txt"
 grep -qx 'trace-ok cells=1' "$smoke_dir/traced.txt"
 ! grep -q 'trace' "$smoke_dir/untraced.txt"
 
-# Saturation bench smoke: a shrunk in-process A/B (event loop vs the
-# thread-per-connection baseline, instant runner) — validates the
-# BENCH_6.json pipeline, not performance numbers.
-echo "==> saturation bench smoke (in-process A/B, instant runner)"
+# Saturation bench smoke: a shrunk in-process run of the event loop on
+# an instant runner — validates the BENCH_6.json pipeline, not
+# performance numbers.
+echo "==> saturation bench smoke (in-process event loop, instant runner)"
 cargo run --release -q --bin epicc -- saturate --bench --conns 32 --requests 512 \
     --out "$smoke_dir/bench.json" > "$smoke_dir/bench.txt"
 grep -q '^# bench ' "$smoke_dir/bench.txt"

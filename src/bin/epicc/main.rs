@@ -23,7 +23,7 @@
 //! epicc matrix [--level L|all] [--cache-dir D] [--no-cache]
 //! epicc stats --addr A
 //! epicc saturate --addr A [--conns N]          # swarm smoke vs a live epicd
-//! epicc saturate --bench [--out BENCH.json]    # event loop vs thread-per-conn A/B
+//! epicc saturate --bench [--out BENCH.json]    # event-loop throughput on an instant runner
 //! epicc shutdown --addr A
 //! ```
 //!
@@ -80,6 +80,8 @@
 //! `submit` and `matrix` print identical, deterministic `cell` lines
 //! (workload, level, cycles, checksum, content digest), so CI can diff a
 //! served sweep against a direct in-process one byte for byte.
+
+#![forbid(unsafe_code)]
 
 use epic_driver::{compile_source, CompileOptions, OptLevel};
 use epic_sim::{Category, PredictorSpec, SimOptions, SimResult, SpecModel, CATEGORIES};
@@ -886,13 +888,13 @@ fn registry_histo(snap: &epic_trace::MetricsSnapshot, name: &str) -> epic_trace:
 
 /// One saturation phase: `total` unique submits spread over a swarm of
 /// `conns` connections against `addr`. Returns (wall seconds, failures).
-fn saturate_phase(addr: &str, conns: usize, total: usize, tag: &str) -> Result<(f64, u64), String> {
+fn saturate_phase(addr: &str, conns: usize, total: usize) -> Result<(f64, u64), String> {
     let base = epic_workloads::all()[0].clone();
     let mut swarm =
         epic_serve::Swarm::connect(addr, conns).map_err(|e| format!("connect {addr}: {e}"))?;
     for i in 0..total {
         let mut spec = epic_serve::JobSpec::for_workload(&base, OptLevel::Gcc);
-        spec.source = format!("// saturate {tag} {i}");
+        spec.source = format!("// saturate event {i}");
         swarm.enqueue(
             i % conns,
             &epic_serve::proto::Request::Submit {
@@ -918,10 +920,9 @@ fn saturate_phase(addr: &str, conns: usize, total: usize, tag: &str) -> Result<(
     Ok((wall, failures))
 }
 
-/// `epicc saturate --bench`: A/B the event-driven server against the
-/// thread-per-connection baseline on an instant runner, and record
-/// throughput plus registry-derived latency quantiles in a
-/// `BENCH_<n>.json` trajectory point.
+/// `epicc saturate --bench`: saturate the event-driven server on an
+/// instant runner, and record throughput plus registry-derived latency
+/// quantiles in a `BENCH_<n>.json` trajectory point.
 fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
     let conns: usize = match kv.get("--conns").map_or(Ok(128), |v| v.parse()) {
         Ok(n) if n > 0 => n,
@@ -938,36 +939,17 @@ fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
     let out = kv.get("--out").map_or("BENCH_6.json", String::as_str);
     let queue_cap = conns.max(256);
 
-    let mk_sched = || {
-        std::sync::Arc::new(epic_serve::Scheduler::with_runner(
-            std::sync::Arc::new(epic_serve::ArtifactStore::in_memory()),
-            Box::new(epic_serve::testutil::InstantRunner::default()),
-            workers,
-            queue_cap,
-        ))
-    };
+    let sched = std::sync::Arc::new(epic_serve::Scheduler::with_runner(
+        std::sync::Arc::new(epic_serve::ArtifactStore::in_memory()),
+        Box::new(epic_serve::testutil::InstantRunner::default()),
+        workers,
+        queue_cap,
+    ));
 
-    // phase A: the pre-refactor shape — one blocking OS thread per
-    // connection (kept in testutil solely as this comparator)
-    let before_base = epic_trace::global().snapshot();
-    let mut baseline = match epic_serve::testutil::serve_baseline("127.0.0.1:0", mk_sched()) {
-        Ok(h) => h,
-        Err(e) => return fail(format!("baseline bind: {e}")),
-    };
-    let (base_wall, base_failures) =
-        match saturate_phase(&baseline.addr().to_string(), conns, requests, "base") {
-            Ok(r) => r,
-            Err(e) => return fail(format!("baseline phase: {e}")),
-        };
-    baseline.stop();
-    let base_queue_wait = registry_histo(&epic_trace::global().snapshot(), "serve.queue_wait_us")
-        .delta_since(&registry_histo(&before_base, "serve.queue_wait_us"));
-
-    // phase B: the event loop
     let before_ev = epic_trace::global().snapshot();
     let mut event = match epic_serve::serve_with(
         "127.0.0.1:0",
-        mk_sched(),
+        sched,
         epic_serve::ServerConfig {
             max_conns: conns + 8,
             ..epic_serve::ServerConfig::default()
@@ -976,11 +958,10 @@ fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
         Ok(h) => h,
         Err(e) => return fail(format!("event bind: {e}")),
     };
-    let (ev_wall, ev_failures) =
-        match saturate_phase(&event.addr().to_string(), conns, requests, "event") {
-            Ok(r) => r,
-            Err(e) => return fail(format!("event phase: {e}")),
-        };
+    let (ev_wall, ev_failures) = match saturate_phase(&event.addr().to_string(), conns, requests) {
+        Ok(r) => r,
+        Err(e) => return fail(format!("event phase: {e}")),
+    };
     event.stop();
     let after_ev = epic_trace::global().snapshot();
     let ev_queue_wait = registry_histo(&after_ev, "serve.queue_wait_us")
@@ -990,14 +971,13 @@ fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
     let ev_poll = registry_histo(&after_ev, "serve.poll.wait_us")
         .delta_since(&registry_histo(&before_ev, "serve.poll.wait_us"));
 
-    if base_failures + ev_failures > 0 {
+    if ev_failures > 0 {
         return fail(format!(
-            "saturation bench saw non-Done responses (baseline {base_failures}, event {ev_failures})"
+            "saturation bench saw {ev_failures} non-Done responses"
         ));
     }
 
     use epic_bench::json::Json;
-    let base_rps = requests as f64 / base_wall;
     let ev_rps = requests as f64 / ev_wall;
     let j = Json::obj([
         ("pr", Json::Num(6.0)),
@@ -1005,14 +985,6 @@ fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
         ("conns", Json::Num(conns as f64)),
         ("requests", Json::Num(requests as f64)),
         ("workers", Json::Num(workers as f64)),
-        (
-            "baseline_thread_per_conn",
-            Json::obj([
-                ("wall_s", Json::Num(base_wall)),
-                ("throughput_rps", Json::Num(base_rps)),
-                ("queue_wait_us", histo_json(&base_queue_wait)),
-            ]),
-        ),
         (
             "event_loop",
             Json::obj([
@@ -1023,15 +995,11 @@ fn saturate_bench(kv: &std::collections::HashMap<String, String>) -> ExitCode {
                 ("poll_wait_us", histo_json(&ev_poll)),
             ]),
         ),
-        ("speedup_throughput", Json::Num(ev_rps / base_rps)),
     ]);
     if let Err(e) = std::fs::write(out, format!("{}\n", j.render())) {
         return fail(format!("write {out}: {e}"));
     }
-    println!(
-        "# bench baseline_rps={base_rps:.0} event_rps={ev_rps:.0} speedup={:.2} -> {out}",
-        ev_rps / base_rps
-    );
+    println!("# bench event_rps={ev_rps:.0} -> {out}");
     ExitCode::SUCCESS
 }
 
@@ -1678,7 +1646,7 @@ fn json_path<'a>(j: &'a epic_bench::json::Json, path: &str) -> Option<&'a epic_b
 /// Higher-is-better headline metrics per benchmark family.
 fn family_metrics(bench: &str) -> Option<&'static [&'static str]> {
     match bench {
-        "serve-saturate" => Some(&["speedup_throughput", "event_loop.throughput_rps"]),
+        "serve-saturate" => Some(&["event_loop.throughput_rps"]),
         "sampled-sim" => Some(&["totals.speedup"]),
         _ => None,
     }

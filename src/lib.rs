@@ -5,6 +5,8 @@
 //! crate; see the README for the architecture overview and `examples/` for
 //! runnable entry points.
 
+#![forbid(unsafe_code)]
+
 pub use epic_core as core;
 pub use epic_driver as driver;
 pub use epic_ir as ir;
