@@ -44,9 +44,21 @@
 //! not on a polling tick; [`GatewayHandle::stop`] ends it through the
 //! loop's [`Waker`]. The time blocked is the `cluster.poll.wait_us`
 //! histogram (`gateway.cluster.poll.wait_us` in a merged `metrics`
-//! answer). Upstream connections are opened per attempt and closed
-//! after one response — an attempt is the unit of failover, and a
-//! connection that never outlives its attempt can never be stale.
+//! answer).
+//!
+//! Upstream streams are pooled. An attempt takes the most recently
+//! parked idle stream to its shard's address, connecting only when none
+//! is parked, and parks the stream again once the response is read
+//! ([`FrameDecoder::read_from`](proto::FrameDecoder::read_from) never
+//! reads past a frame, so a parked stream holds no stray bytes). The
+//! pool is keyed by the address a stream connected to, so a `join` that
+//! moves a shard id to a new process never reaches the old one, and it
+//! keeps at most [`IDLE_PER_SHARD`] streams per address. A shard may
+//! close an idle stream (idle reap, restart, kill); a reused stream that
+//! fails before its response is complete re-sends the request once on a
+//! fresh connection, and only a fresh connection's failure fails the
+//! attempt. A cold connect is still a blocking `connect_timeout` inside
+//! the loop: pooling makes it rare on the hit path, not free.
 
 use crate::merge::{merge_metrics, merge_stats};
 use crate::rebalance::{plan_moves, KeyMove};
@@ -69,7 +81,7 @@ pub struct GatewayConfig {
     /// How long a submit may sit unanswered before it is hedged to the
     /// replica shard.
     pub hedge_after: Duration,
-    /// Per-attempt upstream connect timeout.
+    /// Upstream connect timeout, paid when no idle stream is pooled.
     pub connect_timeout: Duration,
     /// Client admission cap, as in `epicd`.
     pub max_conns: usize,
@@ -150,6 +162,7 @@ pub fn gate(
         cfg,
         ring,
         addrs: shards.iter().cloned().collect(),
+        pool: HashMap::new(),
         metrics: GatewayMetrics::new(),
         clients: Slab::default(),
         ups: Slab::default(),
@@ -179,6 +192,8 @@ struct GatewayMetrics {
     failover: Counter,
     replicated: Counter,
     upstream_errors: Counter,
+    upstream_connects: Counter,
+    upstream_reused: Counter,
     rebalance_keys_moved: Counter,
     rebalance_bytes: Counter,
     rebalance_ms: Counter,
@@ -194,6 +209,8 @@ impl GatewayMetrics {
             failover: g.counter("cluster.failover"),
             replicated: g.counter("cluster.replicated"),
             upstream_errors: g.counter("cluster.upstream.errors"),
+            upstream_connects: g.counter("cluster.upstream.connects"),
+            upstream_reused: g.counter("cluster.upstream.reused"),
             // merge_metrics prefixes the gateway registry with
             // `gateway.`, so these surface as
             // `gateway.rebalance.{keys_moved,bytes,ms}`.
@@ -254,14 +271,20 @@ enum Role {
     Push(usize),
 }
 
-/// One upstream attempt: a fresh connection carrying exactly one
-/// request, closed after its response (see the module docs for why).
+/// One upstream attempt: one request on a stream of its own, which goes
+/// back to the idle pool once the response is read (see the module
+/// docs).
 struct Upstream {
     stream: TcpStream,
     decoder: proto::FrameDecoder,
     /// The request frame; once flushed, the attempt reads its response.
     out: OutFrame,
     shard: u64,
+    /// The address `stream` connected to: its key in the idle pool.
+    addr: String,
+    /// Taken from the pool rather than freshly connected, so a failure
+    /// may only mean the shard closed it while it sat idle.
+    reused: bool,
     pending: usize,
     role: Role,
 }
@@ -348,6 +371,12 @@ enum FanKind {
 /// rebalance never starves client traffic of loop attention.
 const TRANSFER_WINDOW: usize = 8;
 
+/// Most idle upstream streams kept per shard address. Enough for the
+/// concurrent requests of a busy fleet to stop connecting, few enough
+/// that a burst of in-flight submits does not leave the gateway holding
+/// a large share of a shard's `max_conns` once it is over.
+const IDLE_PER_SHARD: usize = 16;
+
 /// State of the one in-flight membership change. A rebalance runs as a
 /// three-phase state machine — census, transfer, cutover — and the
 /// routing ring is swapped only in the cutover, after every moved key
@@ -388,6 +417,9 @@ struct GatewayLoop {
     cfg: GatewayConfig,
     ring: Ring,
     addrs: HashMap<u64, String>,
+    /// Idle upstream streams by the address they connected to, most
+    /// recently parked last.
+    pool: HashMap<String, Vec<TcpStream>>,
     metrics: GatewayMetrics,
     clients: Slab<ClientConn>,
     ups: Slab<Upstream>,
@@ -614,6 +646,19 @@ impl GatewayLoop {
 
     // ---- admin control plane --------------------------------------------
 
+    /// Point shard `id` at `addr` (or forget it) and return its previous
+    /// address. Idle streams to an address no shard has any more are
+    /// dropped: they lead to a process that routing has left behind.
+    fn set_addr(&mut self, id: u64, addr: Option<String>) -> Option<String> {
+        let prev = match addr {
+            Some(addr) => self.addrs.insert(id, addr),
+            None => self.addrs.remove(&id),
+        };
+        let addrs = &self.addrs;
+        self.pool.retain(|a, _| addrs.values().any(|b| b == a));
+        prev
+    }
+
     /// Every shard the gateway can still talk to: ring members plus
     /// drained-but-addressable shards.
     fn known_shards(&self) -> Vec<u64> {
@@ -651,7 +696,7 @@ impl GatewayLoop {
                     conn.stage_response(&admin_err(&format!("shard {id} is already in the ring")));
                     return;
                 }
-                let prev_addr = self.addrs.insert(id, addr);
+                let prev_addr = self.set_addr(id, Some(addr));
                 let was_drained = self.drained.contains(&id);
                 self.drained.retain(|&d| d != id);
                 let mut new_ring = self.ring.clone();
@@ -762,50 +807,65 @@ impl GatewayLoop {
         self.issue_raw(shard, raw, pid, role);
     }
 
-    /// Open a fresh upstream connection to `shard` and stage `raw` as
-    /// its one request. A connect failure is an attempt failure, routed
-    /// through the same path as a mid-request drop.
+    /// Start an attempt: stage `raw` as one request to `shard`.
     fn issue_raw(&mut self, shard: u64, raw: Vec<u8>, pid: usize, role: Role) {
         if let Some(p) = self.pendings.get_mut(pid) {
             *p.outstanding() += 1;
         }
-        let stream = self
-            .addrs
-            .get(&shard)
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "unknown shard id"))
-            .and_then(|addr| {
-                let mut last = std::io::Error::new(
-                    std::io::ErrorKind::AddrNotAvailable,
-                    "shard address did not resolve",
-                );
-                for sa in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&sa, self.cfg.connect_timeout) {
-                        Ok(s) => return Ok(s),
-                        Err(e) => last = e,
-                    }
+        self.send(shard, raw, pid, role);
+    }
+
+    /// Put `raw` on a stream to `shard`'s current address: the most
+    /// recently parked idle stream, or a fresh connection if none is
+    /// parked. A connect failure is an attempt failure, routed through
+    /// the same path as a mid-request drop.
+    fn send(&mut self, shard: u64, raw: Vec<u8>, pid: usize, role: Role) {
+        let Some(addr) = self.addrs.get(&shard).cloned() else {
+            self.metrics.upstream_errors.inc();
+            self.failed.push((pid, shard, role));
+            return;
+        };
+        let parked = self.pool.get_mut(&addr).and_then(Vec::pop);
+        let reused = parked.is_some();
+        let stream = match parked {
+            Some(stream) => {
+                self.metrics.upstream_reused.inc();
+                stream
+            }
+            None => match connect(&addr, self.cfg.connect_timeout) {
+                Ok(stream) => {
+                    self.metrics.upstream_connects.inc();
+                    stream
                 }
-                Err(last)
-            })
-            .and_then(|s| {
-                s.set_nodelay(true)?;
-                s.set_nonblocking(true)?;
-                Ok(s)
-            });
-        match stream {
-            Ok(stream) => {
-                self.ups.insert(Upstream {
-                    stream,
-                    decoder: proto::FrameDecoder::new(),
-                    out: OutFrame::new(raw),
-                    shard,
-                    pending: pid,
-                    role,
-                });
-            }
-            Err(_) => {
-                self.metrics.upstream_errors.inc();
-                self.failed.push((pid, shard, role));
-            }
+                Err(_) => {
+                    self.metrics.upstream_errors.inc();
+                    self.failed.push((pid, shard, role));
+                    return;
+                }
+            },
+        };
+        self.ups.insert(Upstream {
+            stream,
+            decoder: proto::FrameDecoder::new(),
+            out: OutFrame::new(raw),
+            shard,
+            addr,
+            reused,
+            pending: pid,
+            role,
+        });
+    }
+
+    /// Park the stream of an answered attempt for the next attempt to
+    /// its address, unless its shard has moved address since or the
+    /// pool is full.
+    fn park(&mut self, up: Upstream) {
+        if self.addrs.get(&up.shard) != Some(&up.addr) {
+            return;
+        }
+        let idle = self.pool.entry(up.addr).or_default();
+        if idle.len() < IDLE_PER_SHARD {
+            idle.push(up.stream);
         }
     }
 
@@ -827,7 +887,28 @@ impl GatewayLoop {
             };
             match self.pump_upstream(&mut up) {
                 UpOutcome::Keep => self.ups.check_in(slot, up),
-                UpOutcome::Done => self.ups.release(slot),
+                UpOutcome::Done => {
+                    self.ups.release(slot);
+                    self.park(up);
+                }
+                UpOutcome::Failed if up.reused => {
+                    // The shard closed this stream while it sat idle
+                    // (idle reap, restart, kill), and the streams parked
+                    // before it have sat idle longer still: drop them
+                    // all, so the request is re-sent on a fresh
+                    // connection. The shard may already have seen the
+                    // request, which is safe because every verb the
+                    // gateway forwards is content-addressed (submit,
+                    // put), read-only (status, result, keys, stats,
+                    // metrics) or idempotent (shutdown). The re-send
+                    // takes this attempt's place, so `outstanding` stays
+                    // as it is, and it is neither a failover nor an
+                    // upstream error: only a fresh connection's failure
+                    // reaches `attempt_failed`.
+                    self.ups.release(slot);
+                    self.pool.remove(&up.addr);
+                    self.send(up.shard, up.out.into_body(), up.pending, up.role);
+                }
                 UpOutcome::Failed => {
                     self.ups.release(slot);
                     self.metrics.upstream_errors.inc();
@@ -1216,14 +1297,7 @@ impl GatewayLoop {
         }
         let op = self.admin.take().expect("checked above");
         if let Some((id, prev)) = op.join_rollback {
-            match prev {
-                Some(addr) => {
-                    self.addrs.insert(id, addr);
-                }
-                None => {
-                    self.addrs.remove(&id);
-                }
-            }
+            self.set_addr(id, prev);
         }
         if let Some(id) = op.drained_rollback {
             if !self.drained.contains(&id) {
@@ -1315,4 +1389,24 @@ enum UpOutcome {
     Keep,
     Done,
     Failed,
+}
+
+/// A fresh upstream connection to `addr`, nonblocking with Nagle off.
+/// The connect itself blocks the loop for up to `timeout`.
+fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::new(
+        std::io::ErrorKind::AddrNotAvailable,
+        "shard address did not resolve",
+    );
+    for sa in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sa, timeout) {
+            Ok(s) => {
+                s.set_nodelay(true)?;
+                s.set_nonblocking(true)?;
+                return Ok(s);
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
 }

@@ -255,6 +255,11 @@ impl OutFrame {
         self.body.len()
     }
 
+    /// The staged body, e.g. to send the same frame on another stream.
+    pub fn into_body(self) -> Vec<u8> {
+        self.body
+    }
+
     /// Whether every byte of the staged frame has been written.
     pub fn flushed(&self) -> bool {
         self.sent == 4 + self.body.len()

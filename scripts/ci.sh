@@ -220,10 +220,14 @@ grep -q '^benchhist-ok families=1 files=2$' "$smoke_dir/benchhist.txt"
 #   (2) a warm re-sweep through the gateway is 100% cache hits,
 #   (3) merged fleet stats account for exactly 48 compiles and speak
 #       for no single shard (shard_id 0); `top --cluster` renders
-#       fleet, gateway, and per-shard sections,
+#       fleet, gateway, and per-shard sections, and its gateway section
+#       reports a nonzero `cluster.upstream.reused` — the sweeps went
+#       out on pooled upstream streams, not a connection per request,
 #   (4) with shard 1 killed, a warm re-sweep is still 100% hits — the
 #       dead shard's cells answer from their replicas' stores, which
-#       warm-cache replication filled while shard 1 was alive,
+#       warm-cache replication filled while shard 1 was alive; the
+#       gateway's streams parked to shard 1 are now dead, so this also
+#       drives the pooled-stream re-send into the failover path,
 #   (5) still degraded, a fresh sweep (different predictor ⇒ different
 #       job keys) completes with zero lost or mismatched cells,
 #       byte-identical to a direct run — orphaned keys re-route and
@@ -281,6 +285,8 @@ grep -qx '== fleet ==' "$smoke_dir/gw_top.txt"
 grep -qx '== gateway ==' "$smoke_dir/gw_top.txt"
 grep -qx '== shard1 ==' "$smoke_dir/gw_top.txt"
 grep -qx '== shard3 ==' "$smoke_dir/gw_top.txt"
+awk '/^== /{sec=$2} sec=="gateway" && $1=="cluster.upstream.reused" && $3>0 {ok=1}
+     END{exit !ok}' "$smoke_dir/gw_top.txt"
 
 shard1_pid=$(echo "$fleet_pids" | awk '{print $1}')
 kill "$shard1_pid"
