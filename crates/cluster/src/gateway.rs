@@ -35,6 +35,17 @@
 //!   resolve against it (drained shards keep their addresses), so a
 //!   cutover is invisible to concurrent traffic. See DESIGN.md §15.
 //!
+//! Answers to submits and to status/result/put queries cross the
+//! gateway verbatim: the shard's response body is copied into the
+//! client's frame byte for byte (`OutFrame::stage_raw`), never decoded
+//! and re-encoded. The gateway decodes a body only when it needs what is
+//! inside: the measurement of a fresh (`cache_hit: false`) result it
+//! replicates, and the fan-out, census and rebalance answers it merges
+//! or acts on. A staged answer is written to the client at once, in the
+//! turn its upstream answer arrived; only what the socket does not take
+//! then waits for output space. A forwarded body whose response tag is
+//! unknown fails its attempt like a dropped connection.
+//!
 //! Like the `epicd` loop, one thread owns every socket, sweeps them with
 //! nonblocking I/O, and between sweeps blocks in the shared readiness
 //! wait ([`netloop::Poller`]): client connections are watched like
@@ -50,7 +61,9 @@
 //! parked idle stream to its shard's address, connecting only when none
 //! is parked, and parks the stream again once the response is read
 //! ([`FrameDecoder::read_from`](proto::FrameDecoder::read_from) never
-//! reads past a frame, so a parked stream holds no stray bytes). The
+//! reads past a frame, so a parked stream holds no stray bytes). A
+//! stream is parked with its request and response buffers, so a warm
+//! attempt on it allocates nothing. The
 //! pool is keyed by the address a stream connected to, so a `join` that
 //! moves a shard id to a new process never reaches the old one, and it
 //! keeps at most [`IDLE_PER_SHARD`] streams per address. A shard may
@@ -67,8 +80,9 @@ use epic_serve::key::CacheKey;
 use epic_serve::netloop::{self, Interest, Key, OutFrame, Outcome, Poller, Slab, Waker};
 use epic_serve::proto::{
     self, AdminRequest, AdminResponse, FleetStatus, FrameError, FrameEvent, RebalanceReport,
-    Request, Response, ShardInfo,
+    Request, RespTag, Response, ShardInfo,
 };
+use epic_serve::CodecError;
 use epic_trace::{Counter, Gauge};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -161,7 +175,10 @@ pub fn gate(
         poller: Poller::new(Arc::clone(&waker), poll_wait_us),
         cfg,
         ring,
-        addrs: shards.iter().cloned().collect(),
+        addrs: shards
+            .iter()
+            .map(|(id, addr)| (*id, Arc::from(addr.as_str())))
+            .collect(),
         pool: HashMap::new(),
         metrics: GatewayMetrics::new(),
         clients: Slab::default(),
@@ -281,12 +298,21 @@ struct Upstream {
     out: OutFrame,
     shard: u64,
     /// The address `stream` connected to: its key in the idle pool.
-    addr: String,
+    addr: Arc<str>,
     /// Taken from the pool rather than freshly connected, so a failure
     /// may only mean the shard closed it while it sat idle.
     reused: bool,
     pending: usize,
     role: Role,
+}
+
+/// An idle upstream stream, parked with the buffers its last attempt
+/// grew, so that the next attempt on it allocates nothing.
+struct Idle {
+    stream: TcpStream,
+    /// At a frame boundary.
+    decoder: proto::FrameDecoder,
+    out: OutFrame,
 }
 
 /// What a routed request still owes. Slots are freed only when every
@@ -301,8 +327,9 @@ enum Pending {
         key: CacheKey,
         primary: u64,
         replica: Option<u64>,
-        /// Shards an attempt has been issued to.
-        tried: Vec<u64>,
+        /// An attempt has been issued to the replica (the primary always
+        /// gets the first).
+        replica_tried: bool,
         started: Instant,
         hedged: bool,
         outstanding: u32,
@@ -314,7 +341,8 @@ enum Pending {
         client: Key,
         raw: Vec<u8>,
         fallback: Option<u64>,
-        tried: Vec<u64>,
+        /// An attempt has been issued to the fallback.
+        fallback_tried: bool,
         outstanding: u32,
         done: bool,
     },
@@ -392,7 +420,7 @@ struct AdminOp {
     drain: Option<u64>,
     /// For a join: the address entry to undo if the op aborts.
     /// `(id, previous addr if the id was already known)`.
-    join_rollback: Option<(u64, Option<String>)>,
+    join_rollback: Option<(u64, Option<Arc<str>>)>,
     /// For a rejoin: the id to put back on the drained list on abort.
     drained_rollback: Option<u64>,
     /// Census legs still awaited.
@@ -416,10 +444,10 @@ struct GatewayLoop {
     poller: Poller,
     cfg: GatewayConfig,
     ring: Ring,
-    addrs: HashMap<u64, String>,
+    addrs: HashMap<u64, Arc<str>>,
     /// Idle upstream streams by the address they connected to, most
     /// recently parked last.
-    pool: HashMap<String, Vec<TcpStream>>,
+    pool: HashMap<Arc<str>, Vec<Idle>>,
     metrics: GatewayMetrics,
     clients: Slab<ClientConn>,
     ups: Slab<Upstream>,
@@ -585,7 +613,7 @@ impl GatewayLoop {
                     key,
                     primary: route.primary,
                     replica: route.replica,
-                    tried: vec![route.primary],
+                    replica_tried: false,
                     started: Instant::now(),
                     hedged: false,
                     outstanding: 0,
@@ -600,7 +628,7 @@ impl GatewayLoop {
                     client,
                     raw,
                     fallback: route.replica,
-                    tried: vec![route.primary],
+                    fallback_tried: false,
                     outstanding: 0,
                     done: false,
                 });
@@ -630,7 +658,7 @@ impl GatewayLoop {
                 });
                 conn.state = CState::Waiting(pid);
                 for shard in shards {
-                    self.issue_raw(shard, raw.clone(), pid, Role::Fanout);
+                    self.issue_raw(shard, &raw, pid, Role::Fanout);
                 }
             }
             Request::Keys => {
@@ -649,7 +677,7 @@ impl GatewayLoop {
     /// Point shard `id` at `addr` (or forget it) and return its previous
     /// address. Idle streams to an address no shard has any more are
     /// dropped: they lead to a process that routing has left behind.
-    fn set_addr(&mut self, id: u64, addr: Option<String>) -> Option<String> {
+    fn set_addr(&mut self, id: u64, addr: Option<Arc<str>>) -> Option<Arc<str>> {
         let prev = match addr {
             Some(addr) => self.addrs.insert(id, addr),
             None => self.addrs.remove(&id),
@@ -685,7 +713,7 @@ impl GatewayLoop {
                 conn.state = CState::Waiting(pid);
                 let raw = proto::encode_request(&Request::Keys);
                 for shard in shards {
-                    self.issue_raw(shard, raw.clone(), pid, Role::Census);
+                    self.issue_raw(shard, &raw, pid, Role::Census);
                 }
             }
             _ if self.admin.is_some() => {
@@ -696,7 +724,7 @@ impl GatewayLoop {
                     conn.stage_response(&admin_err(&format!("shard {id} is already in the ring")));
                     return;
                 }
-                let prev_addr = self.set_addr(id, Some(addr));
+                let prev_addr = self.set_addr(id, Some(addr.into()));
                 let was_drained = self.drained.contains(&id);
                 self.drained.retain(|&d| d != id);
                 let mut new_ring = self.ring.clone();
@@ -736,7 +764,7 @@ impl GatewayLoop {
         conn: &mut ClientConn,
         new_ring: Ring,
         drain: Option<u64>,
-        join_rollback: Option<(u64, Option<String>)>,
+        join_rollback: Option<(u64, Option<Arc<str>>)>,
         drained_rollback: Option<u64>,
     ) {
         let census_targets: Vec<u64> = self.ring.shard_ids().to_vec();
@@ -764,7 +792,7 @@ impl GatewayLoop {
         });
         let raw = proto::encode_request(&Request::Keys);
         for shard in census_targets {
-            self.issue_raw(shard, raw.clone(), pid, Role::Census);
+            self.issue_raw(shard, &raw, pid, Role::Census);
         }
     }
 
@@ -781,18 +809,42 @@ impl GatewayLoop {
         }
     }
 
-    /// Stage `resp` on the pending's client if that connection is still
-    /// the one that asked.
+    /// Answer the pending's client with `resp`, if that connection is
+    /// still the one that asked.
     fn answer_client(&mut self, client: Key, pid: usize, resp: &Response) {
+        let shutdown = matches!(resp, Response::ShutdownOk);
+        self.deliver(client, pid, shutdown, |out| out.stage(resp));
+    }
+
+    /// Answer the pending's client with a shard's response body, byte for
+    /// byte, if that connection is still the one that asked.
+    fn forward_answer(&mut self, client: Key, pid: usize, body: &[u8]) {
+        self.deliver(client, pid, false, |out| out.stage_raw(body));
+    }
+
+    /// Stage an answer on the client that is waiting on `pid` and write
+    /// it now rather than a readiness wait later; what the socket does
+    /// not take at once waits for output space. A `ShutdownOk` is left
+    /// to `pump_client`, which stops the loop once it is flushed.
+    fn deliver(
+        &mut self,
+        client: Key,
+        pid: usize,
+        shutdown: bool,
+        stage: impl FnOnce(&mut OutFrame),
+    ) {
         let Some(conn) = self.clients.get_by_key(client) else {
             return;
         };
         if !matches!(conn.state, CState::Waiting(p) if p == pid) {
             return;
         }
-        conn.stage_response(resp);
-        if matches!(resp, Response::ShutdownOk) {
+        stage(&mut conn.out);
+        conn.state = CState::Writing;
+        if shutdown {
             conn.shutdown_after_write = true;
+        } else if let Ok(true) = conn.out.write_to(&mut conn.stream) {
+            conn.state = CState::Reading;
         }
     }
 
@@ -801,14 +853,19 @@ impl GatewayLoop {
     /// Issue the pending's stored request bytes to `shard`.
     fn issue(&mut self, shard: u64, pid: usize, role: Role) {
         let raw = match self.pendings.get_mut(pid) {
-            Some(Pending::Submit { raw, .. } | Pending::Simple { raw, .. }) => raw.clone(),
+            Some(Pending::Submit { raw, .. } | Pending::Simple { raw, .. }) => std::mem::take(raw),
             _ => return,
         };
-        self.issue_raw(shard, raw, pid, role);
+        self.issue_raw(shard, &raw, pid, role);
+        if let Some(Pending::Submit { raw: kept, .. } | Pending::Simple { raw: kept, .. }) =
+            self.pendings.get_mut(pid)
+        {
+            *kept = raw;
+        }
     }
 
     /// Start an attempt: stage `raw` as one request to `shard`.
-    fn issue_raw(&mut self, shard: u64, raw: Vec<u8>, pid: usize, role: Role) {
+    fn issue_raw(&mut self, shard: u64, raw: &[u8], pid: usize, role: Role) {
         if let Some(p) = self.pendings.get_mut(pid) {
             *p.outstanding() += 1;
         }
@@ -819,7 +876,7 @@ impl GatewayLoop {
     /// recently parked idle stream, or a fresh connection if none is
     /// parked. A connect failure is an attempt failure, routed through
     /// the same path as a mid-request drop.
-    fn send(&mut self, shard: u64, raw: Vec<u8>, pid: usize, role: Role) {
+    fn send(&mut self, shard: u64, raw: &[u8], pid: usize, role: Role) {
         let Some(addr) = self.addrs.get(&shard).cloned() else {
             self.metrics.upstream_errors.inc();
             self.failed.push((pid, shard, role));
@@ -827,15 +884,19 @@ impl GatewayLoop {
         };
         let parked = self.pool.get_mut(&addr).and_then(Vec::pop);
         let reused = parked.is_some();
-        let stream = match parked {
-            Some(stream) => {
+        let mut link = match parked {
+            Some(idle) => {
                 self.metrics.upstream_reused.inc();
-                stream
+                idle
             }
             None => match connect(&addr, self.cfg.connect_timeout) {
                 Ok(stream) => {
                     self.metrics.upstream_connects.inc();
-                    stream
+                    Idle {
+                        stream,
+                        decoder: proto::FrameDecoder::new(),
+                        out: OutFrame::default(),
+                    }
                 }
                 Err(_) => {
                     self.metrics.upstream_errors.inc();
@@ -844,10 +905,11 @@ impl GatewayLoop {
                 }
             },
         };
+        link.out.stage_raw(raw);
         self.ups.insert(Upstream {
-            stream,
-            decoder: proto::FrameDecoder::new(),
-            out: OutFrame::new(raw),
+            stream: link.stream,
+            decoder: link.decoder,
+            out: link.out,
             shard,
             addr,
             reused,
@@ -865,7 +927,13 @@ impl GatewayLoop {
         }
         let idle = self.pool.entry(up.addr).or_default();
         if idle.len() < IDLE_PER_SHARD {
-            idle.push(up.stream);
+            let mut decoder = up.decoder;
+            decoder.next_frame();
+            idle.push(Idle {
+                stream: up.stream,
+                decoder,
+                out: up.out,
+            });
         }
     }
 
@@ -907,7 +975,8 @@ impl GatewayLoop {
                     // reaches `attempt_failed`.
                     self.ups.release(slot);
                     self.pool.remove(&up.addr);
-                    self.send(up.shard, up.out.into_body(), up.pending, up.role);
+                    let raw = up.out.into_body();
+                    self.send(up.shard, &raw, up.pending, up.role);
                 }
                 UpOutcome::Failed => {
                     self.ups.release(slot);
@@ -929,25 +998,38 @@ impl GatewayLoop {
         }
         match up.decoder.read_from(&mut up.stream) {
             Ok(FrameEvent::Blocked) => UpOutcome::Keep,
-            Ok(FrameEvent::Frame) => match proto::decode_response(up.decoder.frame()) {
-                Ok(resp) => {
-                    self.on_upstream_response(up.shard, up.role, up.pending, resp);
-                    UpOutcome::Done
+            Ok(FrameEvent::Frame) => {
+                match self.on_upstream_response(up.shard, up.role, up.pending, up.decoder.frame()) {
+                    Ok(()) => UpOutcome::Done,
+                    Err(_) => UpOutcome::Failed,
                 }
-                Err(_) => UpOutcome::Failed,
-            },
+            }
             // a close before the answer, or a garbled frame
             _ => UpOutcome::Failed,
         }
     }
 
-    /// One upstream answered. First answer wins; late hedge losers find
-    /// `done` and are dropped (their work already warmed that shard's
-    /// cache — content addressing makes the duplicate free).
-    fn on_upstream_response(&mut self, shard: u64, role: Role, pid: usize, resp: Response) {
+    /// One upstream answered with `body`. First answer wins; late hedge
+    /// losers find `done` and are dropped (their work already warmed
+    /// that shard's cache — content addressing makes the duplicate
+    /// free). A submit's or a simple query's answer goes to its client
+    /// verbatim; the body is decoded only where the gateway itself needs
+    /// its contents: the measurement of a fresh result it replicates,
+    /// and the fan-out, census and rebalance legs it merges or acts on.
+    ///
+    /// # Errors
+    /// A body that does not decode where it must, or whose response tag
+    /// is unknown: the attempt fails, as a dropped connection would.
+    fn on_upstream_response(
+        &mut self,
+        shard: u64,
+        role: Role,
+        pid: usize,
+        body: &[u8],
+    ) -> Result<(), CodecError> {
         let Some(pending) = self.pendings.get_mut(pid) else {
             self.settle_attempt(pid);
-            return;
+            return Ok(());
         };
         match pending {
             // a late hedge loser, a fire-and-forget put, or a leg of an
@@ -965,44 +1047,54 @@ impl GatewayLoop {
                 done,
                 ..
             } => {
-                *done = true;
-                let client = *client;
-                let (key, primary, replica, hedged) = (*key, *primary, *replica, *hedged);
-                if role == Role::Hedge {
-                    self.metrics.hedge_wins.inc();
-                }
+                check_tag(body)?;
                 // replicate a fresh result to the shard that would take
                 // over on failover; a hedged request already warmed the
                 // other shard the hard way
-                let replicate = match &resp {
-                    Response::Done {
-                        cache_hit: false, ..
-                    } => (role == Role::Primary && shard == primary && !hedged)
-                        .then_some(replica)
-                        .flatten(),
-                    _ => None,
+                let fresh = proto::done_cache_hit(body) == Some(false);
+                let put = match (fresh && role == Role::Primary && shard == *primary && !*hedged)
+                    .then_some(*replica)
+                    .flatten()
+                {
+                    Some(to) => match proto::decode_response(body)? {
+                        Response::Done { measurement, .. } => Some((
+                            to,
+                            proto::encode_request(&Request::Put {
+                                key: *key,
+                                measurement,
+                            }),
+                        )),
+                        _ => None,
+                    },
+                    None => None,
                 };
-                self.answer_client(client, pid, &resp);
+                *done = true;
+                let client = *client;
+                if role == Role::Hedge {
+                    self.metrics.hedge_wins.inc();
+                }
+                self.forward_answer(client, pid, body);
                 self.settle_attempt(pid);
-                if let (Some(to), Response::Done { measurement, .. }) = (replicate, resp) {
-                    let put = proto::encode_request(&Request::Put { key, measurement });
+                if let Some((to, put)) = put {
                     let rp = self.pendings.insert(Pending::Replicate { outstanding: 0 });
                     self.metrics.replicated.inc();
-                    self.issue_raw(to, put, rp, Role::Replicate);
+                    self.issue_raw(to, &put, rp, Role::Replicate);
                 }
             }
             Pending::Simple { client, done, .. } => {
+                check_tag(body)?;
                 *done = true;
                 let client = *client;
-                self.answer_client(client, pid, &resp);
+                self.forward_answer(client, pid, body);
                 self.settle_attempt(pid);
             }
             Pending::Fanout { collected, .. } => {
-                collected.push((shard, resp));
+                collected.push((shard, proto::decode_response(body)?));
                 self.finalize_fanout_if_ready(pid);
                 self.settle_attempt(pid);
             }
             Pending::Admin { .. } => {
+                let resp = proto::decode_response(body)?;
                 match role {
                     Role::Census => self.on_census_response(pid, shard, resp),
                     Role::Fetch(i) => self.on_fetch_response(pid, i, resp),
@@ -1012,7 +1104,7 @@ impl GatewayLoop {
                 self.settle_attempt(pid);
             }
             Pending::Fleet { collected, .. } => {
-                let count = match resp {
+                let count = match proto::decode_response(body)? {
                     Response::Keys(keys) => Some(keys.len() as u64),
                     _ => None,
                 };
@@ -1021,6 +1113,7 @@ impl GatewayLoop {
                 self.settle_attempt(pid);
             }
         }
+        Ok(())
     }
 
     /// An attempt died (connect refused, drop mid-request, garbage
@@ -1075,31 +1168,22 @@ impl GatewayLoop {
         let (client, next) = match self.pendings.get_mut(pid) {
             Some(Pending::Submit {
                 client,
-                primary,
-                replica,
-                tried,
+                replica: next,
+                replica_tried: tried,
                 outstanding: 1,
                 done: done @ false,
                 ..
-            }) => {
-                let next = [Some(*primary), *replica]
-                    .into_iter()
-                    .flatten()
-                    .find(|c| !tried.contains(c));
-                tried.extend(next);
-                *done = next.is_none();
-                (*client, next)
-            }
-            Some(Pending::Simple {
+            })
+            | Some(Pending::Simple {
                 client,
-                fallback,
-                tried,
+                fallback: next,
+                fallback_tried: tried,
                 outstanding: 1,
                 done: done @ false,
                 ..
             }) => {
-                let next = fallback.filter(|c| !tried.contains(c));
-                tried.extend(next);
+                let next = next.filter(|_| !*tried);
+                *tried |= next.is_some();
                 *done = next.is_none();
                 (*client, next)
             }
@@ -1199,7 +1283,7 @@ impl GatewayLoop {
             op.next_move += 1;
             op.in_flight += 1;
             let raw = proto::encode_request(&Request::Result(m.key));
-            self.issue_raw(m.from, raw, pid, Role::Fetch(i));
+            self.issue_raw(m.from, &raw, pid, Role::Fetch(i));
         }
     }
 
@@ -1219,7 +1303,7 @@ impl GatewayLoop {
                 op.bytes += raw.len() as u64;
                 // the chain continues as its push leg; `in_flight`
                 // hands over unchanged
-                self.issue_raw(m.to, raw, pid, Role::Push(i));
+                self.issue_raw(m.to, &raw, pid, Role::Push(i));
             }
             _ => self.transfer_leg_done(pid, false),
         }
@@ -1332,7 +1416,10 @@ impl GatewayLoop {
             .into_iter()
             .map(|(id, keys)| ShardInfo {
                 id,
-                addr: self.addrs.get(&id).cloned().unwrap_or_default(),
+                addr: self
+                    .addrs
+                    .get(&id)
+                    .map_or_else(String::new, |a| a.to_string()),
                 in_ring: self.ring.shard_ids().contains(&id),
                 reachable: keys.is_some(),
                 keys: keys.unwrap_or(0),
@@ -1357,20 +1444,17 @@ impl GatewayLoop {
         for pid in 0..self.pendings.slots() {
             if let Some(Pending::Submit {
                 replica: Some(replica),
-                tried,
+                replica_tried: tried @ false,
                 started,
                 hedged: hedged @ false,
                 done: false,
                 ..
             }) = self.pendings.get_mut(pid)
             {
-                if tried.contains(replica) {
-                    continue;
-                }
                 let due = *started + budget;
                 if due <= now {
                     *hedged = true;
-                    tried.push(*replica);
+                    *tried = true;
                     to_issue.push((*replica, pid));
                 } else {
                     next = Some(next.map_or(due, |n| n.min(due)));
@@ -1389,6 +1473,15 @@ enum UpOutcome {
     Keep,
     Done,
     Failed,
+}
+
+/// Refuse a body whose response tag no shard would send: it is garbled,
+/// and forwarding it would hand the client bytes it cannot decode.
+fn check_tag(body: &[u8]) -> Result<(), CodecError> {
+    match body.first().copied().and_then(RespTag::from_wire) {
+        Some(_) => Ok(()),
+        None => Err(CodecError("unknown response tag".to_string())),
+    }
 }
 
 /// A fresh upstream connection to `addr`, nonblocking with Nagle off.

@@ -19,7 +19,7 @@
 use epic_ir::testing::Rng;
 use epic_serve::proto::{self, Request, Response, ServeStats};
 use epic_serve::testutil::dummy_measurement;
-use epic_serve::{CacheKey, FrameDecoder, JobSpec, JobStatus, Priority};
+use epic_serve::{CacheKey, FrameDecoder, JobSpec, JobStatus, Priority, SchedStats, StoreStats};
 use epic_trace::{HistogramSnapshot, MetricEntry, MetricValue, MetricsSnapshot};
 
 /// A random syntactically-plausible job spec (the source need not
@@ -123,17 +123,22 @@ pub fn random_response(rng: &mut Rng) -> Response {
         } else {
             None
         }),
-        4 => {
-            let mut s = ServeStats::default();
-            s.compiles = rng.pick(1000);
-            s.sims = rng.pick(1000);
-            s.sched.submitted = rng.next_u64();
-            s.sched.jobs_run = rng.next_u64();
-            s.store.hits = rng.next_u64();
-            s.store.misses = rng.next_u64();
-            s.shard_id = rng.pick(8);
-            Response::Stats(s)
-        }
+        // fields are drawn in the order written
+        4 => Response::Stats(ServeStats {
+            compiles: rng.pick(1000),
+            sims: rng.pick(1000),
+            sched: SchedStats {
+                submitted: rng.next_u64(),
+                jobs_run: rng.next_u64(),
+                ..SchedStats::default()
+            },
+            store: StoreStats {
+                hits: rng.next_u64(),
+                misses: rng.next_u64(),
+                ..StoreStats::default()
+            },
+            shard_id: rng.pick(8),
+        }),
         5 => Response::Metrics(random_metrics(rng)),
         6 => Response::Busy {
             queue_depth: rng.pick_usize(1 << 16),

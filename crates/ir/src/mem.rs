@@ -127,7 +127,7 @@ impl Memory {
     fn table(&self, addr: u64) -> Option<(&PageTable, u64)> {
         if (HEAP_BASE..HEAP_MAX).contains(&addr) {
             Some((&self.heap, (addr - HEAP_BASE) / PAGE_SIZE))
-        } else if addr >= STACK_BASE && addr < STACK_TOP {
+        } else if (STACK_BASE..STACK_TOP).contains(&addr) {
             Some((&self.stack, (addr - STACK_BASE) / PAGE_SIZE))
         } else if (GLOBAL_BASE..HEAP_BASE).contains(&addr) {
             Some((&self.globals, (addr - GLOBAL_BASE) / PAGE_SIZE))
@@ -141,7 +141,7 @@ impl Memory {
     fn table_mut(&mut self, addr: u64) -> Option<(&mut PageTable, u64)> {
         if (HEAP_BASE..HEAP_MAX).contains(&addr) {
             Some((&mut self.heap, (addr - HEAP_BASE) / PAGE_SIZE))
-        } else if addr >= STACK_BASE && addr < STACK_TOP {
+        } else if (STACK_BASE..STACK_TOP).contains(&addr) {
             Some((&mut self.stack, (addr - STACK_BASE) / PAGE_SIZE))
         } else if (GLOBAL_BASE..HEAP_BASE).contains(&addr) {
             Some((&mut self.globals, (addr - GLOBAL_BASE) / PAGE_SIZE))
@@ -158,7 +158,7 @@ impl Memory {
     fn region(&self, addr: u64) -> Option<(&PageTable, u64, u64, u64)> {
         if (HEAP_BASE..HEAP_MAX).contains(&addr) {
             Some((&self.heap, HEAP_BASE, HEAP_BASE, self.brk))
-        } else if addr >= STACK_BASE && addr < STACK_TOP {
+        } else if (STACK_BASE..STACK_TOP).contains(&addr) {
             Some((&self.stack, STACK_BASE, STACK_TOP - STACK_MAX, STACK_TOP))
         } else if (GLOBAL_BASE..HEAP_BASE).contains(&addr) {
             Some((&self.globals, GLOBAL_BASE, GLOBAL_BASE, self.globals_end))
@@ -172,7 +172,7 @@ impl Memory {
     fn region_mut(&mut self, addr: u64) -> Option<(&mut PageTable, u64, u64, u64)> {
         if (HEAP_BASE..HEAP_MAX).contains(&addr) {
             Some((&mut self.heap, HEAP_BASE, HEAP_BASE, self.brk))
-        } else if addr >= STACK_BASE && addr < STACK_TOP {
+        } else if (STACK_BASE..STACK_TOP).contains(&addr) {
             Some((
                 &mut self.stack,
                 STACK_BASE,

@@ -32,7 +32,7 @@ impl Rng {
     }
 
     /// Next raw draw (31 significant bits).
-    pub fn next(&mut self) -> u64 {
+    pub fn draw(&mut self) -> u64 {
         self.state = self
             .state
             .wrapping_mul(6364136223846793005)
@@ -42,7 +42,7 @@ impl Rng {
 
     /// A full 64-bit value (two draws).
     pub fn next_u64(&mut self) -> u64 {
-        (self.next() << 33) ^ self.next()
+        (self.draw() << 33) ^ self.draw()
     }
 
     /// Uniform in `0..n` (`n == 0` returns 0).
@@ -50,7 +50,7 @@ impl Rng {
         if n == 0 {
             return 0;
         }
-        self.next() % n
+        self.draw() % n
     }
 
     /// Uniform index in `0..n` (`n == 0` returns 0).
@@ -75,7 +75,7 @@ impl Rng {
     /// keeps per-case streams decorrelated without a second algorithm).
     pub fn derive(&self, i: u64) -> Rng {
         let mut r = Rng::new(self.state ^ i.wrapping_mul(0x9E3779B97F4A7C15));
-        r.next();
+        r.draw();
         r
     }
 }

@@ -101,7 +101,6 @@ fn main() {
         max_conns: args.max_conns,
         idle_timeout: std::time::Duration::from_millis(args.idle_timeout_ms),
         shard_id: args.shard_id,
-        ..ServerConfig::default()
     };
     let mut handle = match serve_with(&args.listen, sched, cfg) {
         Ok(h) => h,

@@ -106,6 +106,10 @@ pub struct Served {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Request body buffer, reused across requests.
+    body: Vec<u8>,
+    /// Response body buffer, reused across responses.
+    reply: Vec<u8>,
 }
 
 impl Client {
@@ -119,18 +123,26 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
+            body: Vec::new(),
+            reply: Vec::new(),
         })
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        proto::write_frame(&mut self.writer, &proto::encode_request(req))?;
-        let body = proto::read_frame(&mut self.reader)?.ok_or_else(|| {
-            ClientError::Io(std::io::Error::new(
+        proto::encode_request_into(req, &mut self.body);
+        self.exchange()
+    }
+
+    /// Send the request staged in `body`; read and decode the answer.
+    fn exchange(&mut self) -> Result<Response, ClientError> {
+        proto::write_frame(&mut self.writer, &self.body)?;
+        if !proto::read_frame_into(&mut self.reader, &mut self.reply)? {
+            return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed mid-request",
-            ))
-        })?;
-        match proto::decode_response(&body)? {
+            )));
+        }
+        match proto::decode_response(&self.reply)? {
             Response::Err(msg) => Err(ClientError::Server(msg)),
             Response::Busy { queue_depth } => Err(ClientError::Busy { queue_depth }),
             resp => Ok(resp),
@@ -148,11 +160,8 @@ impl Client {
         prio: Priority,
         deadline_ms: u64,
     ) -> Result<Served, ClientError> {
-        match self.roundtrip(&Request::Submit {
-            spec: spec.clone(),
-            prio,
-            deadline_ms,
-        })? {
+        proto::encode_submit_into(spec, prio, deadline_ms, &mut self.body);
+        match self.exchange()? {
             Response::Done {
                 key,
                 cache_hit,

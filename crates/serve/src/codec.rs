@@ -65,66 +65,62 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
 }
 
-/// Byte writer.
-#[derive(Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    /// Empty writer.
-    pub fn new() -> Enc {
-        Enc::default()
-    }
+/// Where encoders write: a buffer ([`Enc`]) or, for canonical job
+/// bytes, the key hasher itself ([`Fnv`](crate::key::Fnv)), so a key
+/// needs no buffer at all. Scalars are fixed-width little-endian;
+/// sequences are length-prefixed.
+pub trait Sink {
+    /// Append raw bytes.
+    fn put(&mut self, bytes: &[u8]);
 
     /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn u8(&mut self, v: u8) {
+        self.put(&[v]);
     }
 
     /// Append a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+    fn bool(&mut self, v: bool) {
+        self.put(&[v as u8]);
     }
 
     /// Append a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
     }
 
     /// Append an `i64`, little-endian two's complement.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn i64(&mut self, v: i64) {
+        self.put(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Append a `usize` as `u64`.
-    pub fn usize(&mut self, v: usize) {
+    fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Append a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
+    fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
+    fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 
     /// Append a length-prefixed `i64` slice.
-    pub fn i64s(&mut self, v: &[i64]) {
+    fn i64s(&mut self, v: &[i64]) {
         self.u64(v.len() as u64);
         for &x in v {
             self.i64(x);
@@ -132,11 +128,30 @@ impl Enc {
     }
 
     /// Append a length-prefixed `u64` slice.
-    pub fn u64s(&mut self, v: &[u64]) {
+    fn u64s(&mut self, v: &[u64]) {
         self.u64(v.len() as u64);
         for &x in v {
             self.u64(x);
         }
+    }
+}
+
+/// Byte writer.
+#[derive(Default)]
+pub struct Enc {
+    buf: Vec<u8>,
+}
+
+impl Sink for Enc {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
+impl Enc {
+    /// Empty writer.
+    pub fn new() -> Enc {
+        Enc::default()
     }
 
     /// The accumulated bytes.
@@ -247,10 +262,14 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// Read a length-prefixed UTF-8 string in place.
+    pub fn text(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| CodecError("invalid UTF-8".into()))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| CodecError("invalid UTF-8".into()))
+        self.text().map(str::to_string)
     }
 
     /// Read a length-prefixed `i64` slice.
@@ -406,7 +425,7 @@ fn encode_into(e: &mut Enc, m: &Measurement, zero_wall: bool) {
 /// deliberately dropped: cached jobs always run untraced.
 pub fn encode_measurement(m: &Measurement) -> Vec<u8> {
     let mut e = Enc::new();
-    e.buf.extend_from_slice(MAGIC);
+    e.put(MAGIC);
     e.u32(FORMAT_VERSION);
     encode_into(&mut e, m, false);
     e.finish()
@@ -451,7 +470,7 @@ pub fn decode_measurement_body(d: &mut Dec) -> Result<Measurement, CodecError> {
     let np = d.usize()?;
     let mut passes = Vec::with_capacity(np);
     for _ in 0..np {
-        let name = intern_pass_name(&d.str()?);
+        let name = intern_pass_name(d.text()?);
         passes.push(PassRecord {
             name,
             wall: Duration::from_nanos(d.u64()?),
@@ -519,7 +538,7 @@ pub fn encode_measurement_body(e: &mut Enc, m: &Measurement) {
 /// [`decode_measurement`].
 pub fn encode_measurement_framed(e: &mut Enc, m: &Measurement) {
     e.nested(|e| {
-        e.buf.extend_from_slice(MAGIC);
+        e.put(MAGIC);
         e.u32(FORMAT_VERSION);
         encode_into(e, m, false);
     });

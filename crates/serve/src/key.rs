@@ -14,12 +14,24 @@
 //! version tag on top. Any change to the encoding (or to what a job
 //! means) must bump [`CANON_VERSION`], which invalidates every existing
 //! cache entry rather than silently serving stale results.
+//!
+//! Hashing is the warm hit's largest cost (one dependent multiply per
+//! canonical byte, and the source is most of the bytes), so
+//! [`JobSpec::job_key`] hashes each source once per thread: FNV-1a's
+//! state after the canonical header and the source depends on those
+//! bytes alone, so a small per-thread memo maps them to that
+//! *midstate*, confirms every hit with a full byte compare, and hashes
+//! only the few hundred bytes of tail, written straight into the
+//! hasher. The key is the same by construction: the bytes hashed are
+//! exactly [`JobSpec::job_canon`], only the work on its prefix is
+//! reused.
 
-use crate::codec::Enc;
+use crate::codec::{Enc, Sink};
 use epic_driver::{CompileOptions, OptLevel, ProfileInput};
 use epic_mach::MachineConfig;
 use epic_sim::{PredictorSpec, SamplePolicy, SimOptions, SpecModel, Warmup};
 use epic_workloads::Workload;
+use std::cell::RefCell;
 
 /// Version tag mixed into every canonical serialization. Bump on any
 /// change to [`JobSpec`]'s meaning or encoding.
@@ -64,14 +76,133 @@ impl std::fmt::Display for CacheKey {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// The two-lane FNV-1a state behind [`hash_bytes`], fed one write at a
+/// time: a [`Sink`], so canonical bytes can be hashed as they are
+/// encoded, and `Copy`, so a midstate can be kept and resumed.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv {
+    hi: u64,
+    lo: u64,
+}
+
+impl Fnv {
+    /// The state before any byte.
+    pub const fn new() -> Fnv {
+        Fnv {
+            hi: FNV_OFFSET,
+            lo: FNV_OFFSET ^ 0x5a5a_5a5a_5a5a_5a5a,
+        }
+    }
+
+    /// The key of every byte written so far.
+    pub fn key(self) -> CacheKey {
+        CacheKey {
+            hi: self.hi,
+            lo: self.lo,
+        }
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv::new()
+    }
+}
+
+impl Sink for Fnv {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ (b ^ 0xa5) as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
 /// Hash canonical bytes into a [`CacheKey`].
 pub fn hash_bytes(bytes: &[u8]) -> CacheKey {
-    let (mut hi, mut lo) = (FNV_OFFSET, FNV_OFFSET ^ 0x5a5a_5a5a_5a5a_5a5a);
-    for &b in bytes {
-        hi = (hi ^ b as u64).wrapping_mul(FNV_PRIME);
-        lo = (lo ^ (b ^ 0xa5) as u64).wrapping_mul(FNV_PRIME);
+    let mut h = Fnv::new();
+    h.put(bytes);
+    h.key()
+}
+
+/// A sink that only counts: the length of an encoding without making it.
+struct Len(u64);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
     }
-    CacheKey { hi, lo }
+}
+
+/// Bytes of [`JobSpec::job_canon`] before the source: the job's version
+/// and `b'J'`, the compilation half's length, then that half's version,
+/// `b'C'` and the source's length.
+const JOB_HEAD_LEN: usize = 4 + 1 + 8 + 4 + 1 + 8;
+
+/// Most sources one thread's key memo holds. A 12-workload matrix has
+/// 12 sources (levels and simulation parameters are tail fields); the
+/// bound keeps a thread's memo near 100 KiB of copied source text.
+const KEY_MEMO_CAPACITY: usize = 32;
+
+/// One remembered source: its canonical head, its bytes, and the FNV
+/// state after both.
+struct MemoEntry {
+    head: [u8; JOB_HEAD_LEN],
+    source: Box<[u8]>,
+    state: Fnv,
+}
+
+/// Canonical head + source → FNV midstate, bounded by
+/// [`KEY_MEMO_CAPACITY`] and replaced first-in first-out.
+struct KeyMemo {
+    entries: Vec<MemoEntry>,
+    /// The entry the next insertion replaces once the memo is full.
+    next: usize,
+}
+
+impl KeyMemo {
+    const fn new() -> KeyMemo {
+        KeyMemo {
+            entries: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// The FNV state after `head` and `source`: remembered if this
+    /// thread has hashed exactly these bytes before (the head carries
+    /// the source's length, so only same-length sources are compared
+    /// byte for byte), computed and remembered otherwise.
+    fn state(&mut self, head: &[u8; JOB_HEAD_LEN], source: &[u8]) -> Fnv {
+        if let Some(e) = self
+            .entries
+            .iter()
+            .find(|e| e.head == *head && *e.source == *source)
+        {
+            return e.state;
+        }
+        let mut state = Fnv::new();
+        state.put(head);
+        state.put(source);
+        let entry = MemoEntry {
+            head: *head,
+            source: source.into(),
+            state,
+        };
+        if self.entries.len() < KEY_MEMO_CAPACITY {
+            self.entries.push(entry);
+        } else {
+            self.entries[self.next] = entry;
+            self.next = (self.next + 1) % KEY_MEMO_CAPACITY;
+        }
+        state
+    }
+}
+
+thread_local! {
+    /// Each thread's memo: the `epicd` loop thread (through
+    /// `Scheduler::submit`) and the `epicg` loop thread (routing) each
+    /// own one, with no lock and no sharing.
+    static KEY_MEMO: RefCell<KeyMemo> = const { RefCell::new(KeyMemo::new()) };
 }
 
 /// A canonical-bytes writer: the wire [`Enc`] (fixed-width
@@ -117,7 +248,7 @@ pub fn spec_model_from_tag(tag: u8) -> Option<SpecModel> {
 
 /// Append a [`SamplePolicy`], tag byte first (0 exact, 1 sampled; the
 /// warmup nests its own tag: 0 cold, 1 ops, 2 full).
-pub fn canon_sample_policy(c: &mut Enc, p: SamplePolicy) {
+pub fn canon_sample_policy(c: &mut impl Sink, p: SamplePolicy) {
     match p {
         SamplePolicy::Exact => c.u8(0),
         SamplePolicy::Sampled {
@@ -142,7 +273,7 @@ pub fn canon_sample_policy(c: &mut Enc, p: SamplePolicy) {
 
 /// Append a [`PredictorSpec`]'s canonical configuration bytes (variant
 /// tag plus geometry, as defined by the sim crate).
-pub fn canon_predictor_spec(c: &mut Enc, spec: PredictorSpec) {
+pub fn canon_predictor_spec(c: &mut impl Sink, spec: PredictorSpec) {
     for b in spec.canon_bytes() {
         c.u8(b);
     }
@@ -166,7 +297,7 @@ pub fn profile_input_from_tag(tag: u8) -> Option<ProfileInput> {
 }
 
 /// Append every [`MachineConfig`] field, in declaration order.
-pub fn canon_machine_config(c: &mut Enc, cfg: &MachineConfig) {
+pub fn canon_machine_config(c: &mut impl Sink, cfg: &MachineConfig) {
     for cache in [&cfg.l1i, &cfg.l1d, &cfg.l2, &cfg.l3] {
         c.u64(cache.size);
         c.u64(cache.line);
@@ -215,8 +346,10 @@ pub struct JobSpec {
     pub enable_data_spec: bool,
     /// Interpreter fuel for the profiling run.
     pub profile_fuel: u64,
-    /// Machine configuration for scheduling and simulation.
-    pub config: MachineConfig,
+    /// Machine configuration for scheduling and simulation. Boxed: it
+    /// is most of a spec's size, and requests carrying a spec are moved
+    /// by value.
+    pub config: Box<MachineConfig>,
     /// Simulator cycle budget.
     pub sim_fuel: u64,
     /// Speculation recovery model (paper Fig. 9).
@@ -262,7 +395,7 @@ impl JobSpec {
             profile_input: copts.profile_input,
             enable_data_spec: copts.enable_data_spec,
             profile_fuel: copts.profile_fuel,
-            config: sopts.config,
+            config: Box::new(sopts.config),
             sim_fuel: sopts.fuel_cycles,
             spec_model: sopts.spec_model,
             sample: sopts.sample,
@@ -297,12 +430,36 @@ impl JobSpec {
     /// The simulator options this job runs with.
     pub fn sim_options(&self) -> SimOptions {
         SimOptions {
-            config: self.config,
+            config: *self.config,
             fuel_cycles: self.sim_fuel,
             spec_model: self.spec_model,
             trace_capacity: 0,
             sample: self.sample,
             predictor: self.predictor,
+        }
+    }
+
+    /// The compilation half after the source: training input and every
+    /// compile option.
+    fn compile_tail(&self, c: &mut impl Sink) {
+        c.i64s(&self.train_args);
+        c.u8(level_tag(self.level));
+        c.u8(profile_input_tag(self.profile_input));
+        c.bool(self.enable_data_spec);
+        c.u64(self.profile_fuel);
+        canon_machine_config(c, &self.config);
+    }
+
+    /// The whole job after the compilation half: simulation parameters
+    /// and the measurement input.
+    fn job_tail(&self, c: &mut impl Sink) {
+        c.i64s(&self.ref_args);
+        c.u64(self.sim_fuel);
+        c.u8(spec_model_tag(self.spec_model));
+        canon_sample_policy(c, self.sample);
+        if self.predictor != PredictorSpec::default() {
+            c.u8(b'P');
+            canon_predictor_spec(c, self.predictor);
         }
     }
 
@@ -313,18 +470,21 @@ impl JobSpec {
         let mut c = canon();
         c.u8(b'C');
         c.str(&self.source);
-        c.i64s(&self.train_args);
-        c.u8(level_tag(self.level));
-        c.u8(profile_input_tag(self.profile_input));
-        c.bool(self.enable_data_spec);
-        c.u64(self.profile_fuel);
-        canon_machine_config(&mut c, &self.config);
+        self.compile_tail(&mut c);
         c.finish()
     }
 
-    /// Content hash of the compilation half.
+    /// Content hash of the compilation half: [`compile_canon`]'s bytes,
+    /// hashed as they are produced.
+    ///
+    /// [`compile_canon`]: JobSpec::compile_canon
     pub fn compile_key(&self) -> CacheKey {
-        hash_bytes(&self.compile_canon())
+        let mut h = Fnv::new();
+        h.u32(CANON_VERSION);
+        h.u8(b'C');
+        h.str(&self.source);
+        self.compile_tail(&mut h);
+        h.key()
     }
 
     /// Canonical bytes of the whole job (compilation plus simulation
@@ -340,20 +500,37 @@ impl JobSpec {
         let mut c = canon();
         c.u8(b'J');
         c.bytes(&self.compile_canon());
-        c.i64s(&self.ref_args);
-        c.u64(self.sim_fuel);
-        c.u8(spec_model_tag(self.spec_model));
-        canon_sample_policy(&mut c, self.sample);
-        if self.predictor != PredictorSpec::default() {
-            c.u8(b'P');
-            canon_predictor_spec(&mut c, self.predictor);
-        }
+        self.job_tail(&mut c);
         c.finish()
     }
 
-    /// Content hash of the whole job — the artifact-store key.
+    /// [`job_canon`](JobSpec::job_canon)'s first [`JOB_HEAD_LEN`] bytes,
+    /// the source follows them.
+    fn job_head(&self) -> [u8; JOB_HEAD_LEN] {
+        let mut tail = Len(0);
+        self.compile_tail(&mut tail);
+        let source_len = self.source.len() as u64;
+        let compile_len = 4 + 1 + 8 + source_len + tail.0;
+        let mut head = [0u8; JOB_HEAD_LEN];
+        head[..4].copy_from_slice(&CANON_VERSION.to_le_bytes());
+        head[4] = b'J';
+        head[5..13].copy_from_slice(&compile_len.to_le_bytes());
+        head[13..17].copy_from_slice(&CANON_VERSION.to_le_bytes());
+        head[17] = b'C';
+        head[18..].copy_from_slice(&source_len.to_le_bytes());
+        head
+    }
+
+    /// Content hash of the whole job — the artifact-store key:
+    /// `hash_bytes(&self.job_canon())`, with the hash of the head and
+    /// source taken from this thread's memo and the tail hashed as it is
+    /// encoded (see the module docs).
     pub fn job_key(&self) -> CacheKey {
-        hash_bytes(&self.job_canon())
+        let head = self.job_head();
+        let mut h = KEY_MEMO.with(|m| m.borrow_mut().state(&head, self.source.as_bytes()));
+        self.compile_tail(&mut h);
+        self.job_tail(&mut h);
+        h.key()
     }
 }
 
@@ -395,7 +572,7 @@ mod tests {
                 for cfg in [MachineConfig::default(), alt] {
                     for model in [SpecModel::General, SpecModel::Sentinel] {
                         let mut spec = JobSpec::for_workload(&w, level);
-                        spec.config = cfg;
+                        *spec.config = cfg;
                         spec.spec_model = model;
                         assert!(
                             job_keys.insert(spec.job_key()),
@@ -511,6 +688,178 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), n, "predictors must never alias in the store");
+    }
+
+    /// xorshift64*: a seeded stream, so every generated case replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+
+        fn source(&mut self, len: usize) -> String {
+            (0..len)
+                .map(|_| char::from(b' ' + self.below(95) as u8))
+                .collect()
+        }
+
+        fn args(&mut self) -> Vec<i64> {
+            (0..self.below(4)).map(|_| self.next_u64() as i64).collect()
+        }
+    }
+
+    /// The memoised key, checked against a hash of the whole canonical
+    /// encoding, twice: the second call is a memo hit.
+    fn memo_key(spec: &JobSpec) -> CacheKey {
+        let want = hash_bytes(&spec.job_canon());
+        assert_eq!(spec.job_key(), want, "first call");
+        assert_eq!(spec.job_key(), want, "memo hit");
+        want
+    }
+
+    fn memo_len() -> usize {
+        KEY_MEMO.with(|m| m.borrow().entries.len())
+    }
+
+    #[test]
+    fn memoised_job_keys_equal_the_full_hash_on_random_specs() {
+        let base =
+            JobSpec::for_workload(&epic_workloads::by_name("mcf_mc").unwrap(), OptLevel::Gcc);
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut keys = std::collections::HashSet::new();
+        for _ in 0..300 {
+            let mut s = base.clone();
+            let len = rng.below(400);
+            s.source = rng.source(len);
+            s.train_args = rng.args();
+            s.ref_args = rng.args();
+            s.level = OptLevel::ALL[rng.below(4)];
+            s.enable_data_spec = rng.below(2) == 1;
+            s.profile_fuel = rng.next_u64();
+            s.config.l2.size <<= rng.below(3);
+            s.sim_fuel = rng.next_u64();
+            s.spec_model = [SpecModel::General, SpecModel::Sentinel][rng.below(2)];
+            if rng.below(2) == 1 {
+                s.sample = SamplePolicy::Sampled {
+                    interval_len: rng.next_u64() % 10_000,
+                    max_clusters: rng.below(16),
+                    warmup: [Warmup::Cold, Warmup::Ops(rng.next_u64()), Warmup::Full][rng.below(3)],
+                };
+            }
+            s.predictor = PredictorSpec::ZOO[rng.below(PredictorSpec::ZOO.len())];
+            keys.insert(memo_key(&s));
+            assert!(memo_len() <= KEY_MEMO_CAPACITY);
+        }
+        assert!(keys.len() > 290, "random specs should rarely coincide");
+    }
+
+    #[test]
+    fn near_identical_sources_never_share_a_midstate() {
+        let base = JobSpec::for_workload(
+            &epic_workloads::by_name("gzip_mc").unwrap(),
+            OptLevel::IlpCs,
+        );
+        let prefix = base.source.clone();
+        let variants = [
+            // same length, same prefix, different endings
+            format!("{prefix}ab"),
+            format!("{prefix}ba"),
+            // differ only in the last byte
+            format!("{prefix}a"),
+            format!("{prefix}b"),
+            // the same bytes one shorter
+            prefix[..prefix.len() - 1].to_string(),
+        ];
+        let mut keys = Vec::new();
+        for src in &variants {
+            let mut s = base.clone();
+            s.source = src.clone();
+            keys.push(memo_key(&s));
+        }
+        // alternate between them: every lookup is a byte-compared hit
+        for (src, want) in variants.iter().zip(&keys).rev() {
+            let mut s = base.clone();
+            s.source = src.clone();
+            assert_eq!(s.job_key(), *want);
+        }
+        let n = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), n);
+    }
+
+    #[test]
+    fn tail_fields_reuse_the_source_midstate_and_still_separate_keys() {
+        let base =
+            JobSpec::for_workload(&epic_workloads::by_name("twolf_mc").unwrap(), OptLevel::Gcc);
+        let mut keys = vec![memo_key(&base)];
+        let len = memo_len();
+        let mut tails = Vec::new();
+        for level in [OptLevel::ONs, OptLevel::IlpNs, OptLevel::IlpCs] {
+            tails.push(JobSpec {
+                level,
+                ..base.clone()
+            });
+        }
+        tails.push(JobSpec {
+            train_args: vec![1, 2, 3],
+            ..base.clone()
+        });
+        tails.push(JobSpec {
+            ref_args: vec![7],
+            ..base.clone()
+        });
+        tails.push(JobSpec {
+            sample: SamplePolicy::default_sampled(),
+            ..base.clone()
+        });
+        tails.push(JobSpec {
+            predictor: PredictorSpec::Tage,
+            ..base.clone()
+        });
+        for s in &tails {
+            keys.push(memo_key(s));
+        }
+        // one source is one midstate, however its tail varies — except a
+        // new training-argument count, which changes the head's length
+        // field and so takes an entry of its own
+        assert!(memo_len() <= len + 1);
+        let n = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), n, "tail fields must still separate keys");
+    }
+
+    #[test]
+    fn more_sources_than_the_memo_holds_evict_without_changing_keys() {
+        let base =
+            JobSpec::for_workload(&epic_workloads::by_name("vpr_mc").unwrap(), OptLevel::ONs);
+        let mut rng = Rng(7);
+        let specs: Vec<JobSpec> = (0..2 * KEY_MEMO_CAPACITY + 5)
+            .map(|_| {
+                let len = 64 + rng.below(64);
+                JobSpec {
+                    source: rng.source(len),
+                    ..base.clone()
+                }
+            })
+            .collect();
+        let keys: Vec<CacheKey> = specs.iter().map(memo_key).collect();
+        assert_eq!(memo_len(), KEY_MEMO_CAPACITY, "the memo is bounded");
+        // the oldest were evicted long ago, the newest are still held:
+        // both give the full hash
+        for (s, k) in specs.iter().zip(&keys).rev().chain(specs.iter().zip(&keys)) {
+            assert_eq!(s.job_key(), *k);
+        }
+        assert_eq!(memo_len(), KEY_MEMO_CAPACITY);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! never reads past the current frame: no request bytes ever wait in
 //! user space where `poll` cannot see them. Keep that invariant.
 
+use crate::key::CacheKey;
 use crate::proto::{self, Response};
+use epic_driver::Measurement;
 use epic_trace::Histogram;
 use std::io::{IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
@@ -234,18 +236,29 @@ pub struct OutFrame {
 }
 
 impl OutFrame {
-    /// A frame carrying `body` verbatim.
-    pub fn new(body: Vec<u8>) -> OutFrame {
-        OutFrame {
-            header: (body.len() as u32).to_be_bytes(),
-            body,
-            sent: 0,
-        }
-    }
-
     /// Encode `resp` as the next frame, reusing the body buffer.
     pub fn stage(&mut self, resp: &Response) {
         proto::encode_response_into(resp, &mut self.body);
+        self.restart();
+    }
+
+    /// Encode a `Done` answer as the next frame straight from a borrowed
+    /// measurement (see [`proto::encode_done_into`]).
+    pub fn stage_done(&mut self, key: CacheKey, cache_hit: bool, coalesced: bool, m: &Measurement) {
+        proto::encode_done_into(key, cache_hit, coalesced, m, &mut self.body);
+        self.restart();
+    }
+
+    /// Stage an already encoded body, byte for byte, as the next frame:
+    /// a gateway forwarding a shard's answer.
+    pub fn stage_raw(&mut self, body: &[u8]) {
+        self.body.clear();
+        self.body.extend_from_slice(body);
+        self.restart();
+    }
+
+    /// Frame the freshly staged body from its first byte.
+    fn restart(&mut self) {
         self.header = (self.body.len() as u32).to_be_bytes();
         self.sent = 0;
     }
@@ -476,7 +489,8 @@ mod tests {
                 Ok(())
             }
         }
-        let mut f = OutFrame::new(b"hello".to_vec());
+        let mut f = OutFrame::default();
+        f.stage_raw(b"hello");
         let mut w = Tight(Vec::new(), 2);
         assert!(!f.write_to(&mut w).unwrap() && !f.flushed());
         w.1 = 5;

@@ -23,7 +23,7 @@
 //! The frame length is capped at [`MAX_FRAME`] so a corrupt or hostile
 //! length prefix cannot trigger an unbounded allocation.
 
-use crate::codec::{self, CodecError, Dec, Enc};
+use crate::codec::{self, CodecError, Dec, Enc, Sink};
 use crate::key::{
     canon_machine_config, level_from_tag, level_tag, profile_input_from_tag, profile_input_tag,
     spec_model_from_tag, spec_model_tag, CacheKey, JobSpec,
@@ -443,7 +443,7 @@ fn dec_spec(d: &mut Dec) -> Result<JobSpec, CodecError> {
     let enable_data_spec = d.bool()?;
     let profile_fuel = d.u64()?;
     let cfg_bytes = d.bytes()?;
-    let mut cd = Dec::new(&cfg_bytes);
+    let mut cd = Dec::new(cfg_bytes);
     let config = MachineConfig {
         l1i: dec_cache_cfg(&mut cd)?,
         l1d: dec_cache_cfg(&mut cd)?,
@@ -475,7 +475,7 @@ fn dec_spec(d: &mut Dec) -> Result<JobSpec, CodecError> {
         profile_input,
         enable_data_spec,
         profile_fuel,
-        config,
+        config: Box::new(config),
         sim_fuel: d.u64()?,
         spec_model: spec_model_from_tag(d.u8()?)
             .ok_or_else(|| CodecError("bad spec-model tag".to_string()))?,
@@ -737,11 +737,7 @@ pub fn encode_request_into(r: &Request, buf: &mut Vec<u8>) {
             spec,
             prio,
             deadline_ms,
-        } => {
-            e.u8(prio.tag());
-            e.u64(*deadline_ms);
-            enc_spec(&mut e, spec);
-        }
+        } => enc_submit(&mut e, spec, *prio, *deadline_ms),
         Request::Status(k) | Request::Result(k) => enc_key(&mut e, *k),
         Request::Stats | Request::Metrics | Request::Keys | Request::Shutdown => {}
         Request::Put { key, measurement } => {
@@ -750,6 +746,22 @@ pub fn encode_request_into(r: &Request, buf: &mut Vec<u8>) {
         }
         Request::Admin(a) => enc_admin_request(&mut e, a),
     }
+    *buf = e.finish();
+}
+
+fn enc_submit(e: &mut Enc, spec: &JobSpec, prio: Priority, deadline_ms: u64) {
+    e.u8(prio.tag());
+    e.u64(deadline_ms);
+    enc_spec(e, spec);
+}
+
+/// [`encode_request_into`] of a [`Request::Submit`], from a borrowed
+/// spec: a client encodes its job without cloning it into a request
+/// first. Byte-identical to the owned form.
+pub fn encode_submit_into(spec: &JobSpec, prio: Priority, deadline_ms: u64, buf: &mut Vec<u8>) {
+    let mut e = Enc::with_buf(std::mem::take(buf));
+    e.u8(Verb::Submit.wire());
+    enc_submit(&mut e, spec, prio, deadline_ms);
     *buf = e.finish();
 }
 
@@ -779,7 +791,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, CodecError> {
         Verb::Metrics => Request::Metrics,
         Verb::Put => {
             let key = dec_key(&mut d)?;
-            let m = codec::decode_measurement(&d.bytes()?)?;
+            let m = codec::decode_measurement(d.bytes()?)?;
             Request::Put {
                 key,
                 measurement: Box::new(m),
@@ -814,12 +826,7 @@ pub fn encode_response_into(r: &Response, buf: &mut Vec<u8>) {
             cache_hit,
             coalesced,
             measurement,
-        } => {
-            enc_key(&mut e, *key);
-            e.bool(*cache_hit);
-            e.bool(*coalesced);
-            codec::encode_measurement_framed(&mut e, measurement);
-        }
+        } => enc_done(&mut e, *key, *cache_hit, *coalesced, measurement),
         Response::Status(s) => e.u8(s.tag()),
         Response::Result(m) => match m {
             Some(m) => {
@@ -847,6 +854,43 @@ pub fn encode_response_into(r: &Response, buf: &mut Vec<u8>) {
         Response::PutOk | Response::ShutdownOk => {}
     }
     *buf = e.finish();
+}
+
+fn enc_done(e: &mut Enc, key: CacheKey, cache_hit: bool, coalesced: bool, m: &Measurement) {
+    enc_key(e, key);
+    e.bool(cache_hit);
+    e.bool(coalesced);
+    codec::encode_measurement_framed(e, m);
+}
+
+/// [`encode_response_into`] of a [`Response::Done`], from a borrowed
+/// measurement: the server answers from the store's shared copy without
+/// cloning it into a `Box` first. Byte-identical to the owned form.
+pub fn encode_done_into(
+    key: CacheKey,
+    cache_hit: bool,
+    coalesced: bool,
+    m: &Measurement,
+    buf: &mut Vec<u8>,
+) {
+    let mut e = Enc::with_buf(std::mem::take(buf));
+    e.u8(RespTag::Done.wire());
+    enc_done(&mut e, key, cache_hit, coalesced, m);
+    *buf = e.finish();
+}
+
+/// Offset of the `cache_hit` byte in a `Done` body: tag, then the key.
+const DONE_CACHE_HIT_AT: usize = 1 + 16;
+
+/// The `cache_hit` flag of an encoded [`Response::Done`] body, read
+/// without decoding the measurement; `None` for any other body. The
+/// gateway forwards answers verbatim and decodes only the fresh results
+/// it replicates.
+pub fn done_cache_hit(body: &[u8]) -> Option<bool> {
+    match body {
+        [tag, ..] if *tag == RespTag::Done.wire() => body.get(DONE_CACHE_HIT_AT).map(|&b| b != 0),
+        _ => None,
+    }
 }
 
 /// The tag a response travels under.
@@ -881,7 +925,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, CodecError> {
             let key = dec_key(&mut d)?;
             let cache_hit = d.bool()?;
             let coalesced = d.bool()?;
-            let m = codec::decode_measurement(&d.bytes()?)?;
+            let m = codec::decode_measurement(d.bytes()?)?;
             Response::Done {
                 key,
                 cache_hit,
@@ -894,7 +938,7 @@ pub fn decode_response(body: &[u8]) -> Result<Response, CodecError> {
         ),
         RespTag::Result => {
             if d.bool()? {
-                Response::Result(Some(Box::new(codec::decode_measurement(&d.bytes()?)?)))
+                Response::Result(Some(Box::new(codec::decode_measurement(d.bytes()?)?)))
             } else {
                 Response::Result(None)
             }
@@ -1142,10 +1186,21 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
 /// Underlying I/O failures, mid-frame EOF, or a length over
 /// [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body)?.then_some(body))
+}
+
+/// [`read_frame`] into a reusable buffer: `body` is resized to the
+/// frame's body within its capacity. `Ok(false)` on clean EOF at a frame
+/// boundary.
+///
+/// # Errors
+/// As [`read_frame`].
+pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> std::io::Result<bool> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(e),
     }
     let n = u32::from_be_bytes(len) as usize;
@@ -1155,9 +1210,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame length {n} exceeds cap"),
         ));
     }
-    let mut body = vec![0u8; n];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    body.clear();
+    body.resize(n, 0);
+    r.read_exact(body)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1453,6 +1509,35 @@ mod tests {
         assert_eq!(buf.capacity(), cap, "re-encode must reuse the buffer");
         encode_response_into(&resp, &mut buf);
         assert_eq!(buf, encode_response(&resp));
+    }
+
+    #[test]
+    fn borrowed_encoders_match_the_owned_frames() {
+        let m = dummy_measurement(11);
+        let key = sample_spec().job_key();
+        let mut buf = Vec::new();
+        for (cache_hit, coalesced) in [(true, false), (false, true)] {
+            encode_done_into(key, cache_hit, coalesced, &m, &mut buf);
+            let owned = encode_response(&Response::Done {
+                key,
+                cache_hit,
+                coalesced,
+                measurement: Box::new(m.clone()),
+            });
+            assert_eq!(buf, owned);
+            assert_eq!(done_cache_hit(&buf), Some(cache_hit));
+        }
+        encode_submit_into(&sample_spec(), Priority::High, 7, &mut buf);
+        let owned = encode_request(&Request::Submit {
+            spec: sample_spec(),
+            prio: Priority::High,
+            deadline_ms: 7,
+        });
+        assert_eq!(buf, owned);
+        // only a Done body carries the flag, and only once it is there
+        assert_eq!(done_cache_hit(&encode_response(&Response::PutOk)), None);
+        assert_eq!(done_cache_hit(&[RespTag::Done.wire()]), None);
+        assert_eq!(done_cache_hit(&[]), None);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //! * **Shutdown** — pending and in-flight waiters are woken with
 //!   [`JobError::Shutdown`]; workers are joined on [`Scheduler::shutdown`]
 //!   or drop.
+//! * **Containment** — a runner that panics fails its job with
+//!   [`JobError::Panicked`] for the submitter and every coalesced waiter;
+//!   the key leaves the in-flight table and the worker lives on.
 
 use crate::key::{CacheKey, JobSpec};
 use crate::store::{ArtifactStore, CompiledArtifact};
@@ -65,6 +68,8 @@ pub enum JobError {
     Expired,
     /// The scheduler shut down before the job ran.
     Shutdown,
+    /// The runner panicked; the payload is the panic message.
+    Panicked(String),
 }
 
 impl std::fmt::Display for JobError {
@@ -73,6 +78,7 @@ impl std::fmt::Display for JobError {
             JobError::Runner(e) => write!(f, "job failed: {e}"),
             JobError::Expired => write!(f, "queue deadline expired before the job started"),
             JobError::Shutdown => write!(f, "scheduler shut down"),
+            JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
         }
     }
 }
@@ -284,6 +290,16 @@ impl Ticket {
         }
     }
 
+    /// The measurement of an instant cache hit: `None` for a job that is
+    /// queued or running. The `epicd` loop answers a ready ticket in the
+    /// turn that read its request.
+    pub fn ready(&self) -> Option<&Arc<Measurement>> {
+        match &self.state {
+            TicketState::Ready(m) => Some(m),
+            TicketState::Pending(_) => None,
+        }
+    }
+
     /// Non-blocking probe: the result if the job has finished.
     pub fn try_result(&self) -> Option<Result<Arc<Measurement>, JobError>> {
         match &self.state {
@@ -376,6 +392,7 @@ struct ServeMetrics {
     shed: Counter,
     jobs_run: Counter,
     expired: Counter,
+    panicked: Counter,
     queue_depth: Gauge,
     queue_wait_us: Histogram,
     run_us: Histogram,
@@ -392,6 +409,7 @@ impl ServeMetrics {
             shed: g.counter("serve.shed"),
             jobs_run: g.counter("serve.jobs_run"),
             expired: g.counter("serve.expired"),
+            panicked: g.counter("serve.jobs.panicked"),
             queue_depth: g.gauge("serve.queue_depth"),
             queue_wait_us: g.histogram("serve.queue_wait_us"),
             run_us: g.histogram("serve.run_us"),
@@ -698,13 +716,25 @@ fn worker_loop(inner: &Inner) {
             continue;
         }
         let run_start = Instant::now();
-        let ran = inner.runner.run(&job.spec, &inner.store);
+        // A panicking runner must not take the worker with it, nor leave
+        // the key in `inflight` where every later submit would hang: the
+        // panic becomes this job's typed failure. The runner is shared
+        // and immutable through `&self`; whatever it left half-done is
+        // its own, and the job's result is the panic.
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inner.runner.run(&job.spec, &inner.store)
+        }));
         let run_dur = run_start.elapsed();
         inner.metrics.run_us.record(run_dur.as_micros() as u64);
         let store_start = Instant::now();
-        let result = ran
-            .map(|m| inner.store.insert(job.key, m))
-            .map_err(JobError::Runner);
+        let result = match ran {
+            Ok(Ok(m)) => Ok(inner.store.insert(job.key, m)),
+            Ok(Err(e)) => Err(JobError::Runner(e)),
+            Err(payload) => {
+                inner.metrics.panicked.inc();
+                Err(JobError::Panicked(panic_message(payload.as_ref())))
+            }
+        };
         let store_dur = store_start.elapsed();
         inner.metrics.store_us.record(store_dur.as_micros() as u64);
         inner.jobs_run.fetch_add(1, Ordering::Relaxed);
@@ -729,6 +759,16 @@ fn worker_loop(inner: &Inner) {
         }
         finish(inner, &job, result);
     }
+}
+
+/// The text a panic was raised with (`panic!` with a literal or with a
+/// format string), or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn finish(inner: &Inner, job: &QueuedJob, result: Result<Arc<Measurement>, JobError>) {
@@ -782,6 +822,9 @@ mod tests {
             }
             if spec.source.contains("FAIL") {
                 return Err("stub failure".into());
+            }
+            if spec.source.contains("PANIC") {
+                panic!("stub panic");
             }
             Ok(dummy_measurement(spec.source.len() as u64))
         }
@@ -977,6 +1020,41 @@ mod tests {
         t3.on_complete(move |r| tx.send(("failed", r.is_ok())).unwrap());
         let (tag, ok) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!((tag, ok), ("failed", false));
+    }
+
+    #[test]
+    fn a_runner_panic_fails_every_waiter_and_spares_the_worker() {
+        let store = Arc::new(ArtifactStore::in_memory());
+        let (runner, release) = StubRunner::gated();
+        let sched = Scheduler::with_runner(store, Box::new(runner), 1, 8);
+        let first = sched.submit(spec("PANIC"), Priority::Normal, None).unwrap();
+        let waiter = sched.submit(spec("PANIC"), Priority::Normal, None).unwrap();
+        assert!(waiter.coalesced, "the second submit rides the first job");
+        let _ = release.send(());
+        let panicked = Err(JobError::Panicked("stub panic".to_string()));
+        assert_eq!(first.wait().map(|_| ()), panicked);
+        assert_eq!(waiter.wait().map(|_| ()), panicked);
+        assert_eq!(
+            sched.stats().in_flight,
+            0,
+            "the key left the in-flight table"
+        );
+        // a later submit of the same key runs again and gets the typed
+        // error again instead of hanging on a dead job
+        let again = sched.submit(spec("PANIC"), Priority::Normal, None).unwrap();
+        assert!(!again.coalesced && !again.cache_hit);
+        let _ = release.send(());
+        assert_eq!(again.wait().map(|_| ()), panicked);
+        // the single worker survived both panics
+        let ok = sched.submit(spec("fine"), Priority::Normal, None).unwrap();
+        let _ = release.send(());
+        assert!(ok.wait().is_ok());
+        assert_eq!(sched.work_counts().0, 3);
+        // no other test in this binary panics a runner
+        let panicked = epic_trace::global()
+            .snapshot()
+            .counter("serve.jobs.panicked");
+        assert_eq!(panicked, 2);
     }
 
     #[test]

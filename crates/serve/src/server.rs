@@ -14,11 +14,17 @@
 //!   framing allocates nothing, and responses go out as one vectored
 //!   write of header + body. A reading connection is waited on for
 //!   input, a writing one for output space.
-//! * **Submits never block the loop.** A pending job parks the
-//!   *connection* (state `AwaitJob`), not a thread: a completion hook
-//!   ([`Ticket::on_complete`](crate::sched::Ticket::on_complete))
+//! * **A cache hit is answered in the turn that read it.** When
+//!   [`Scheduler::submit`] hands back a
+//!   [ready](crate::sched::Ticket::ready) ticket, the loop encodes the
+//!   `Done` frame straight from the store's shared measurement and the
+//!   same bounded pass of the connection writes it: one readiness wait
+//!   per hit, no completion queue, no waker byte.
+//! * **Other submits never block the loop.** A queued or coalesced job
+//!   parks the *connection* (state `AwaitJob`), not a thread: a
+//!   completion hook ([`Ticket::on_complete`](crate::sched::Ticket::on_complete))
 //!   enqueues the result and wakes the loop through its
-//!   [`Waker`](netloop::Waker), which writes the response.
+//!   [`Waker`](netloop::Waker), and the next turn writes the response.
 //!   Thousands of in-flight submits cost one loop thread.
 //! * **Admission control** — a max-connections cap (over-cap peers get a
 //!   typed error frame and a close) and a per-connection idle timeout
@@ -32,7 +38,7 @@
 //! closes — and a garbage verb merely errors — *that* connection; every
 //! other connection keeps being served.
 
-use crate::key::JobSpec;
+use crate::key::{CacheKey, JobSpec};
 use crate::netloop::{self, Interest, Key, OutFrame, Outcome, Poller, Slab, Waker};
 use crate::proto::{self, FrameError, FrameEvent, Request, Response, ServeStats};
 use crate::sched::{JobError, Priority, Scheduler, SubmitError};
@@ -71,7 +77,7 @@ impl Default for ServerConfig {
 /// while the job ran.
 struct Completion {
     conn: Key,
-    key: crate::key::CacheKey,
+    key: CacheKey,
     cache_hit: bool,
     coalesced: bool,
     result: Result<Arc<Measurement>, JobError>,
@@ -118,6 +124,13 @@ impl Conn {
     /// Stage `resp` as the next outgoing frame and enter `Writing`.
     fn stage_response(&mut self, resp: &Response) {
         self.out.stage(resp);
+        self.state = ConnState::Writing;
+    }
+
+    /// Stage a finished submit's answer, encoded from the shared
+    /// measurement, and enter `Writing`.
+    fn stage_done(&mut self, key: CacheKey, cache_hit: bool, coalesced: bool, m: &Measurement) {
+        self.out.stage_done(key, cache_hit, coalesced, m);
         self.state = ConnState::Writing;
     }
 }
@@ -310,17 +323,13 @@ impl EventLoop {
             if !matches!(conn.state, ConnState::AwaitJob) {
                 continue;
             }
-            let resp = match c.result {
-                Ok(m) => Response::Done {
-                    key: c.key,
-                    cache_hit: c.cache_hit,
-                    coalesced: c.coalesced,
-                    measurement: Box::new((*m).clone()),
-                },
-                Err(JobError::Expired) => Response::Err("deadline expired".to_string()),
-                Err(e) => Response::Err(e.to_string()),
-            };
-            conn.stage_response(&resp);
+            match c.result {
+                Ok(m) => conn.stage_done(c.key, c.cache_hit, c.coalesced, &m),
+                Err(JobError::Expired) => {
+                    conn.stage_response(&Response::Err("deadline expired".to_string()));
+                }
+                Err(e) => conn.stage_response(&Response::Err(e.to_string())),
+            }
             conn.last_activity = Instant::now();
         }
     }
@@ -494,9 +503,14 @@ impl EventLoop {
         match self.sched.submit(spec, prio, deadline) {
             Ok(ticket) => {
                 let (key, cache_hit, coalesced) = (ticket.key, ticket.cache_hit, ticket.coalesced);
-                // park the connection; the hook (run inline for instant
-                // cache hits, else on the completing worker) enqueues the
-                // result and wakes the loop
+                if let Some(m) = ticket.ready() {
+                    // a store hit: `pump_conn` writes it in this pass
+                    conn.stage_done(key, cache_hit, coalesced, m);
+                    return;
+                }
+                // park the connection; the hook (run on the completing
+                // worker, or inline if the job has just finished)
+                // enqueues the result and wakes the loop
                 conn.state = ConnState::AwaitJob;
                 let completions = Arc::clone(&self.completions);
                 let waker = Arc::clone(&self.waker);

@@ -25,9 +25,11 @@ pub fn dummy_measurement(seed: u64) -> Measurement {
         [seed % 7; epic_sim::NUM_CATEGORIES],
         [(seed + 1) % 5; epic_sim::NUM_CATEGORIES],
     ];
-    let mut counters = epic_sim::Counters::default();
-    counters.retired_useful = seed * 3 + 1;
-    counters.l3_misses = seed % 11;
+    let counters = epic_sim::Counters {
+        retired_useful: seed * 3 + 1,
+        l3_misses: seed % 11,
+        ..Default::default()
+    };
     Measurement {
         level: OptLevel::Gcc,
         compiled: CompiledStats {

@@ -480,7 +480,7 @@ impl BranchPredictor for Tage {
     fn train(&mut self, addr: u64, outcome: bool) {
         let ctx = self.ctx;
         self.trains += 1;
-        if self.trains % TAGE_RESET_PERIOD == 0 {
+        if self.trains.is_multiple_of(TAGE_RESET_PERIOD) {
             for t in &mut self.tables {
                 for e in t.iter_mut() {
                     e.useful >>= 1;

@@ -615,7 +615,7 @@ fn pass1(
     let mut snaps: Vec<(u64, FState, Option<WarmState>)> = Vec::new();
     let mut idx = 0u64;
     let ret = loop {
-        if want_snaps && idx % stride == 0 {
+        if want_snaps && idx.is_multiple_of(stride) {
             snaps.push((idx, fr.eng.st.clone(), warm_profile.then(|| warm.clone())));
             if snaps.len() > MAX_SNAPSHOTS {
                 stride *= 2;
@@ -737,8 +737,8 @@ pub struct Kmeans<const D: usize = BBV_DIM> {
 fn dist_num<const D: usize>(v: &[u64; D], c: &Centroid<D>) -> u128 {
     let cnt = c.count as i128;
     let mut acc: u128 = 0;
-    for j in 0..D {
-        let d = v[j] as i128 * cnt - c.sum[j] as i128;
+    for (&x, &s) in v.iter().zip(&c.sum) {
+        let d = x as i128 * cnt - s as i128;
         acc += (d * d) as u128;
     }
     acc
@@ -812,8 +812,8 @@ pub fn kmeans<const D: usize>(vecs: &[[u64; D]], k: usize, seed: u64) -> Kmeans<
         for (i, v) in vecs.iter().enumerate() {
             let c = &mut next[assignment[i] as usize];
             c.count += 1;
-            for j in 0..D {
-                c.sum[j] += v[j];
+            for (s, &x) in c.sum.iter_mut().zip(v) {
+                *s += x;
             }
         }
         // drop empty clusters, compacting indices
@@ -953,8 +953,8 @@ pub(crate) fn run_sampled(
         .map(|i| {
             let tot = iops(i).max(1);
             let mut s = [0u64; CVEC_DIM];
-            for j in 0..BBV_DIM {
-                s[j] = p1.bbvs[i][j] * BBV_SCALE / tot;
+            for (sj, &b) in s.iter_mut().zip(&p1.bbvs[i]) {
+                *sj = b * BBV_SCALE / tot;
             }
             for j in 0..N_FEAT {
                 s[BBV_DIM + j] = p1.feats[i][j] * FEAT_W[j] * BBV_SCALE / tot;
@@ -969,9 +969,9 @@ pub(crate) fn run_sampled(
     // to the earliest interval
     let mut rep = vec![usize::MAX; nclus];
     let mut repd: Vec<(u128, u128)> = vec![(0, 0); nclus];
-    for i in 0..n {
+    for (i, v) in scaled.iter().enumerate() {
         let c = km.assignment[i] as usize;
-        let num = dist_num(&scaled[i], &km.centroids[c]);
+        let num = dist_num(v, &km.centroids[c]);
         let den = (km.centroids[c].count as u128) * (km.centroids[c].count as u128);
         if rep[c] == usize::MAX || num * repd[c].1 < repd[c].0 * den {
             rep[c] = i;
@@ -1123,11 +1123,11 @@ pub(crate) fn run_sampled(
     // heterogeneity the BBV can't see still widens the bound. ---
     let mut wdisp = 0.0f64;
     let mut wtot = 0.0f64;
-    for i in 0..n {
+    for (i, v) in scaled.iter().enumerate() {
         let c = &km.centroids[km.assignment[i] as usize];
         let mut l1 = 0.0f64;
-        for j in 0..CVEC_DIM {
-            l1 += (scaled[i][j] as f64 - c.sum[j] as f64 / c.count as f64).abs();
+        for (&x, &s) in v.iter().zip(&c.sum) {
+            l1 += (x as f64 - s as f64 / c.count as f64).abs();
         }
         let w = iops(i) as f64;
         wdisp += w * l1 / (2.0 * BBV_SCALE as f64);

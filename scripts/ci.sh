@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# CI gate: formatting, a clean release build, and the full test suite —
-# all offline (the offline_manifests test enforces that no dependency
+# CI gate: formatting, lints, a clean release build, and the full test
+# suite — all offline (the offline_manifests test enforces that no dependency
 # resolves to a registry crate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# Lint gate: library and binary targets build clippy-clean, warnings
+# as errors.
+echo "==> cargo clippy -D warnings"
+cargo clippy --workspace -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release

@@ -53,7 +53,7 @@
 //! bit-identical to the pre-zoo simulator).
 //!
 //! `benchcmp --baseline BENCH_N.json --current NEW.json` red-flags
-//! >10% regressions of a fresh bench run against a committed
+//! regressions over 10% of a fresh bench run against a committed
 //! checkpoint (threshold adjustable with `--threshold-pct`);
 //! `benchcmp --history DIR` instead scans every committed
 //! `BENCH_*.json` checkpoint and prints each headline metric's
@@ -1023,7 +1023,7 @@ fn saturate_cmd(args: &[String]) -> ExitCode {
         Ok(n) if n > 0 => n,
         _ => return fail("--conns must be a positive integer"),
     };
-    let cells = match sweep_cells("all", &OptLevel::ALL.to_vec()) {
+    let cells = match sweep_cells("all", OptLevel::ALL.as_ref()) {
         Ok(c) => c,
         Err(e) => return fail(e),
     };
